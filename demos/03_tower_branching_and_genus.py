@@ -24,9 +24,10 @@ print("every tuple re-verifies membership:",
       all(config.contains(t) for t in sample))
 
 # The defining map's Jacobian has one row per condition; its rank must
-# be r - 1 everywhere (that is what makes the curve smooth).
+# be r - 1 everywhere (that is what makes the curve smooth).  The matrix
+# is an arrowhead, so the rank is a count of its nonzero derivatives.
 report = config.jacobian(sample[0])
-print("Jacobian rank:", report.rank, "via", report.method)
+print("Jacobian rank:", report.rank, "of", config.r - 1)
 
 # Branch points of the forget-last-coordinate cover: exactly 2^r of
 # them, namely the tuples whose last coordinate is a cover-critical

@@ -60,7 +60,7 @@ from .invariants import (
     slope,
     slope_table,
 )
-from .verifier import VerificationRun, precision_escalation_policy, verify_claim
+from .verifier import VerificationRun, verify_claim
 
 __version__ = "0.1.0"
 
@@ -78,5 +78,5 @@ __all__ = [
     "lemma_counts", "solve_adjunction",
     "InvariantReport", "euler_characteristic", "fiber_genus",
     "invariant_report", "range_checks", "signature", "slope", "slope_table",
-    "VerificationRun", "precision_escalation_policy", "verify_claim",
+    "VerificationRun", "verify_claim",
 ]

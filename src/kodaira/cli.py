@@ -13,8 +13,10 @@ slope-table         exact slopes for a range of r
 
 Exit codes: 0 success, 2 usage error (bad flags, invalid or singular
 lambda, odd r where even is required), 3 verification failure,
-4 precision exhaustion.  Reports are deterministic: the same
-configuration produces byte-identical JSON.
+4 precision exhaustion or an ambiguous coincidence outside the
+verifier (such as a lambda inside the guard band of a singular value).
+Reports are deterministic: the same configuration produces
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .invariants import (
     slope_table,
     slope_table_csv,
 )
-from .scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational, scalar_to_json
+from .scalars import (
+    DEFAULT_PREC_BITS,
+    DEFAULT_TOL,
+    AmbiguousCoincidenceError,
+    format_rational,
+    scalar_to_json,
+)
 from .verifier import (
     PrecisionExhausted,
     lambda_at,
@@ -267,7 +275,7 @@ def main(argv=None) -> int:
             SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PrecisionExhausted as exc:
+    except (PrecisionExhausted, AmbiguousCoincidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION_EXHAUSTED
 

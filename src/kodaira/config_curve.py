@@ -5,10 +5,11 @@ configuration curve consists of the r-tuples ``(p_1, ..., p_r)`` of
 genus-2 points with ``cover(p_i) = cover(p_1) + e_i`` for ``2 <= i <= r``
 (group law on the elliptic curve).  This module provides everything that
 can be computed about it at desk scale: membership, fibers over the
-first coordinate, Jacobian matrices and their rank (smoothness), the
-branch points of the forget-last-coordinate tower and their count
-``2^r``, the genus by Riemann-Hurwitz recursion against its closed form
-``r * 2^(r-1) + 1``, and coordinate-projection degrees ``2^(r-1)``.
+first coordinate, Jacobian matrices and their structural rank
+(smoothness), the branch points of the forget-last-coordinate tower and
+their count ``2^r``, the genus by Riemann-Hurwitz recursion against its
+closed form ``r * 2^(r-1) + 1``, and coordinate-projection degrees
+``2^(r-1)``.
 """
 
 from __future__ import annotations
@@ -16,40 +17,27 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .elliptic import EllipticPoint
-from .genus2 import (
-    GenusTwoCurve,
-    GenusTwoPoint,
-    genus2_point_distance,
-    genus2_points_equal,
-)
+from .elliptic import points_equal
+from .genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
 from .generic_points import GenericityCertificate
-from .scalars import ComplexApprox, as_approx, is_approx, scalar_to_json
-
-DEFAULT_RANK_RTOL = 1e-12
+from .scalars import (
+    DEFAULT_PREC_BITS,
+    DEFAULT_TOL,
+    AmbiguousCoincidenceError,
+    ComplexApprox,
+    as_approx,
+    scalar_is_zero,
+    scalar_to_json,
+)
 
 
 class MixedKindError(ValueError):
     """A tuple mixes exact and approximate coordinates."""
-
-
-class AmbiguousCoincidenceError(RuntimeError):
-    """A distance fell between the coincidence and separation thresholds.
-
-    Carries enough context for the escalation policy to re-run the check
-    at doubled precision.
-    """
-
-    def __init__(self, message, check_name=None, distance=None, tol=None):
-        super().__init__(message)
-        self.check_name = check_name
-        self.distance = distance
-        self.tol = tol
 
 
 @dataclass(frozen=True)
@@ -99,8 +87,6 @@ class ConfigTuple:
 class JacobianReport:
     matrix: list                 # (r-1) x r entries
     rank: int
-    method: str                  # "exact-elimination" or "singular-values"
-    singular_values: list = field(default_factory=list)
     full_rank: bool = True       # False flags a genericity violation
 
 
@@ -202,50 +188,16 @@ BASE_EULER_NOTE = (
 class ConfigurationCurve:
     """Membership, fibers, Jacobians and branch data for given offsets."""
 
-    def __init__(self, curve: GenusTwoCurve, offsets: list,
-                 rank_rtol: float = DEFAULT_RANK_RTOL,
-                 coincidence_guard: float = 10.0):
+    def __init__(self, curve: GenusTwoCurve, offsets: list):
         self.curve = curve
         self.elliptic = curve.elliptic_quotient()
         self.offsets = list(offsets)          # e_2 .. e_r
         self.r = len(self.offsets) + 1
-        self.rank_rtol = rank_rtol
-        self.coincidence_guard = coincidence_guard
 
     @classmethod
-    def from_certificate(cls, cert: GenericityCertificate,
-                         prec: int = None, tol: float = None, **kw) -> "ConfigurationCurve":
-        lam = cert.lam
-        curve = GenusTwoCurve(lam,
-                              prec if prec is not None else 256,
-                              tol if tol is not None else 1e-30)
-        return cls(curve, cert.offsets(), **kw)
-
-    # -- distance classification ------------------------------------------------
-
-    def _classify(self, distance, check_name: str) -> str:
-        """'coincident' / 'distinct', raising on the in-between band.
-
-        Distances below tol are coincidences; distances beyond
-        ``coincidence_guard * tol`` are certified distinct; the band in
-        between is ambiguous and triggers the escalation policy rather
-        than a silent call either way.
-        """
-        tol = self.curve.tol
-        if distance < tol:
-            return "coincident"
-        if distance < self.coincidence_guard * tol:
-            raise AmbiguousCoincidenceError(
-                f"distance {mpmath.nstr(mpmath.mpf(distance), 8)} within the ambiguity band "
-                f"[{tol}, {self.coincidence_guard * tol}) during {check_name}",
-                check_name=check_name, distance=distance, tol=tol)
-        return "distinct"
-
-    def _points_coincide(self, p: GenusTwoPoint, q: GenusTwoPoint, check_name: str) -> bool:
-        if p.is_exact and q.is_exact:
-            return genus2_points_equal(p, q)
-        d = genus2_point_distance(p, q, self.curve.prec)
-        return self._classify(d, check_name) == "coincident"
+    def from_certificate(cls, cert: GenericityCertificate, prec: int = DEFAULT_PREC_BITS,
+                         tol: float = DEFAULT_TOL) -> "ConfigurationCurve":
+        return cls(GenusTwoCurve(cert.lam, prec, tol), cert.offsets())
 
     # -- membership ---------------------------------------------------------------
 
@@ -265,23 +217,13 @@ class ConfigurationCurve:
         for i, e in enumerate(self.offsets, start=2):
             expected = self.elliptic.add(base_image, e)
             got = self.curve.cover(tup[i - 1])
-            if not self._elliptic_points_match(got, expected):
+            if not points_equal(got, expected, "membership-cover-condition"):
                 return False
         # tuples with two coincident coordinates are excluded by definition
         for i, j in itertools.combinations(range(self.r), 2):
-            if self._points_coincide(tup[i], tup[j], "membership-distinctness"):
+            if genus2_points_equal(tup[i], tup[j], "membership-distinctness"):
                 return False
         return True
-
-    def _elliptic_points_match(self, p: EllipticPoint, q: EllipticPoint) -> bool:
-        if p.is_infinity or q.is_infinity:
-            return p.is_infinity and q.is_infinity
-        if is_approx(p.x) or is_approx(q.x):
-            prec = self.curve.prec
-            dx = as_approx(p.x, prec).distance(as_approx(q.x, prec))
-            dy = as_approx(p.y, prec).distance(as_approx(q.y, prec))
-            return max(dx, dy) < self.curve.tol
-        return p.x == q.x and p.y == q.y
 
     # -- fibers over the first coordinate ------------------------------------------
 
@@ -316,26 +258,16 @@ class ConfigurationCurve:
         Row ``i-1`` expresses the condition on slot ``i``: its first
         column holds ``-d(cover)/dx`` at ``p_1`` and column ``i`` holds
         ``d(cover)/dx`` at ``p_i`` (value ``2x`` in the affine chart, a
-        unit at the chart boundary); all other entries vanish.
+        unit at the chart boundary); all other entries vanish.  The rank
+        of this arrowhead is counted structurally by :func:`arrowhead_rank`,
+        for exact and approximate tuples alike.
         """
         r = self.r
-        d_first = self.curve.cover_derivative(tup[0])
-        matrix = []
-        for i in range(1, r):
-            row = [None] * r
-            row[0] = -d_first
-            for k in range(1, r):
-                if k != i:
-                    row[k] = Fraction(0)
-            row[i] = self.curve.cover_derivative(tup[i])
-            matrix.append(row)
-        if tup.is_exact:
-            rank = _exact_rank(matrix)
-            return JacobianReport(matrix, rank, "exact-elimination",
-                                  full_rank=(rank == r - 1))
-        rank, sv = _numeric_rank(matrix, self.curve.prec, self.rank_rtol)
-        return JacobianReport(matrix, rank, "singular-values", sv,
-                              full_rank=(rank == r - 1))
+        derivs = [self.curve.cover_derivative(p) for p in tup]
+        matrix = [[-derivs[0]] + [derivs[i] if k == i else Fraction(0) for k in range(1, r)]
+                  for i in range(1, r)]
+        rank = arrowhead_rank(derivs)
+        return JacobianReport(matrix, rank, full_rank=(rank == r - 1))
 
     # -- branch points of the forget-last-coordinate tower ------------------------------
 
@@ -368,12 +300,7 @@ class ConfigurationCurve:
 
     def _check_pairwise_distinct(self, tuples: list, check_name: str):
         for a, b in itertools.combinations(tuples, 2):
-            coincide = True
-            for pa, pb in zip(a, b):
-                if not self._points_coincide(pa, pb, check_name):
-                    coincide = False
-                    break
-            if coincide:
+            if all(genus2_points_equal(pa, pb, check_name) for pa, pb in zip(a, b)):
                 raise AmbiguousCoincidenceError(
                     f"two enumerated tuples coincide during {check_name}",
                     check_name=check_name, distance=0.0, tol=self.curve.tol)
@@ -453,8 +380,7 @@ class ConfigurationCurve:
         """Branch counts per level, genus both ways, and degree estimate."""
         per_level = {}
         for level in range(2, self.r + 1):
-            sub = ConfigurationCurve(self.curve, self.offsets[:level - 1],
-                                     self.rank_rtol, self.coincidence_guard)
+            sub = ConfigurationCurve(self.curve, self.offsets[:level - 1])
             per_level[level] = len(sub.branch_points())
         rec, closed = genus(self.r)
         est = self.projection_degree_estimate(1, samples=3)
@@ -500,7 +426,9 @@ def sample_genus2_point(curve: GenusTwoCurve, rng) -> GenusTwoPoint:
 
     Draws with ``|x|`` below ten times the tolerance are rejected (too
     close to the cover-critical locus for stable rank checks).  Returns
-    None when the draw was rejected so the caller can re-draw.
+    None when the draw was rejected so the caller can re-draw.  This is a
+    sampling rule, not an equality decision, so it does not go through
+    :func:`kodaira.scalars.coincide`.
     """
     with mpmath.workprec(curve.prec):
         radius = 2 * mpmath.sqrt(rng.random())
@@ -514,50 +442,13 @@ def sample_genus2_point(curve: GenusTwoCurve, rng) -> GenusTwoPoint:
     return GenusTwoPoint.affine(x, y)
 
 
-# ---------------------------------------------------------------------------
-# Rank computations
-# ---------------------------------------------------------------------------
+def arrowhead_rank(derivs: list) -> int:
+    """Rank of the Jacobian arrowhead built from cover derivatives ``d_1..d_r``.
 
-
-def _exact_rank(matrix: list) -> int:
-    """Gaussian elimination over exact scalars (fractions and quadratic
-    extension elements interoperate)."""
-    rows = [list(row) for row in matrix]
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, n_rows):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / pivot
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _numeric_rank(matrix: list, prec: int, rtol: float) -> tuple:
-    """Rank by singular values: count of sigma > rtol * sigma_max."""
-    with mpmath.workprec(prec):
-        m = mpmath.matrix(len(matrix), len(matrix[0]))
-        for i, row in enumerate(matrix):
-            for j, entry in enumerate(row):
-                z = as_approx(entry, prec).mpc
-                m[i, j] = z
-        sv = mpmath.svd_c(m, compute_uv=False)
-        values = [mpmath.mpf(sv[i]) for i in range(sv.rows)]
-        top = max(values) if values else mpmath.mpf(0)
-        if top == 0:
-            return 0, [str(v) for v in values]
-        rank = sum(1 for v in values if v > rtol * top)
-    return rank, [mpmath.nstr(v, 20) for v in values]
+    Row ``i`` is ``-d_1`` in column 1 and ``d_i`` in column ``i``.  The
+    ``n`` rows with ``d_i != 0`` have distinct pivots, and the remaining
+    rows are multiples of the first unit vector, which adds one dimension
+    iff ``d_1 != 0``.  Each zero test is :func:`scalar_is_zero`.
+    """
+    n = sum(1 for d in derivs[1:] if not scalar_is_zero(d))
+    return n + int(n < len(derivs) - 1 and not scalar_is_zero(derivs[0]))

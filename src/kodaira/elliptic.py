@@ -13,12 +13,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import (
-    ComplexApprox,
     NOT_REPRESENTABLE,
-    SymbolicScalar,
     DEFAULT_PREC_BITS,
     DEFAULT_TOL,
     as_approx,
+    coordinates_equal,
     is_approx,
     is_exact,
     scalar_is_zero,
@@ -61,10 +60,11 @@ class EllipticPoint:
 EC_INFINITY = EllipticPoint.infinity()
 
 
-def points_equal(p: EllipticPoint, q: EllipticPoint) -> bool:
+def points_equal(p: EllipticPoint, q: EllipticPoint,
+                 check_name: str = "elliptic-point-equality") -> bool:
     if p.is_infinity or q.is_infinity:
         return p.is_infinity and q.is_infinity
-    return scalars_equal(p.x, q.x) and scalars_equal(p.y, q.y)
+    return coordinates_equal((p.x, p.y), (q.x, q.y), check_name)
 
 
 class EllipticCurve:
@@ -80,14 +80,8 @@ class EllipticCurve:
             raise SingularCurveError(f"lam={lam!r} gives a singular curve")
 
     def _nonsingular(self) -> bool:
-        lam = self.lam
-        if isinstance(lam, Fraction):
-            return lam != 0 and lam != Fraction(-27, 4)
-        if isinstance(lam, ComplexApprox):
-            return (not lam.is_zero()) and lam.distance(Fraction(-27, 4)) >= lam.tol
-        if isinstance(lam, SymbolicScalar):
-            return not scalar_is_zero(self.discriminant())
-        return not scalar_is_zero(self.discriminant())
+        """``lam`` avoids 0 and -27/4, the roots of the discriminant."""
+        return not (scalar_is_zero(self.lam) or scalars_equal(self.lam, Fraction(-27, 4)))
 
     def __repr__(self):
         return f"EllipticCurve(lam={self.lam!r})"
@@ -122,8 +116,8 @@ class EllipticCurve:
             return q
         if q.is_infinity:
             return p
-        if scalars_equal(p.x, q.x):
-            if scalars_equal(p.y, -q.y):
+        if scalars_equal(p.x, q.x, "group-law-x"):
+            if scalars_equal(p.y, -q.y, "group-law-negation"):
                 return EC_INFINITY
             # tangent line at the doubled point
             m = (3 * p.x * p.x + self.lam) / (2 * p.y)
@@ -162,9 +156,10 @@ class EllipticCurve:
         This generates the same field as the conventional j-invariant but
         omits the usual ``1728*4`` normalisation; see :meth:`j_standard`.
         """
+        # cancelled by lam^2 (nonzero on a smooth curve), so the only zero
+        # test is against the other root -27/4 of the discriminant
         lam = self.lam
-        den = 4 * lam * lam * lam + 27 * lam * lam
-        return (lam * lam * lam) / den
+        return lam / (4 * lam + 27)
 
     def j_standard(self):
         """Conventional j-invariant ``1728 * 4*lam^3 / (4*lam^3 + 27*lam^2)``."""

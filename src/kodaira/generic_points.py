@@ -14,7 +14,9 @@ assumption is made -- each exclusion is decided by evaluating the group
 law.  When the parameter is not rational (or no rational point exists in
 range) the search falls back to the known point ``(0, sqrt(lam))`` and,
 for complex parameters, to ComplexApprox arithmetic with distance-based
-checks; such certificates are marked ``approximate``.
+checks; such certificates are marked ``approximate``.  An exclusion whose
+distance lands in the ambiguity band of :func:`kodaira.scalars.coincide`
+counts as not passed, so the search rejects a stride it cannot certify.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, points_equal
 from .scalars import (
+    AmbiguousCoincidenceError,
     Fraction,
-    NOT_REPRESENTABLE,
     as_approx,
     is_approx,
     rational_sqrt,
@@ -114,29 +116,14 @@ def _point_from_json(obj) -> EllipticPoint:
     return EllipticPoint(scalar_from_json(obj["x"]), scalar_from_json(obj["y"]))
 
 
-def _distinct(curve: EllipticCurve, p: EllipticPoint, q: EllipticPoint,
-              guard: float = 10.0) -> bool:
-    """Certified inequality of two points.
-
-    Exact coordinates compare exactly.  Approximate coordinates must be
-    separated by at least ``guard * tol`` in some coordinate; anything
-    closer counts as not-distinct so that marginal configurations are
-    rejected rather than silently accepted.
-    """
-    if p.is_infinity or q.is_infinity:
-        return p.is_infinity != q.is_infinity
-    if is_approx(p.x) or is_approx(q.x):
-        tol = max(getattr(p.x, "tol", 0.0), getattr(q.x, "tol", 0.0), curve.tol)
-        dx = as_approx(p.x, curve.prec, curve.tol).distance(q.x)
-        dy = as_approx(p.y, curve.prec, curve.tol).distance(q.y)
-        return max(dx, dy) >= guard * tol
-    return not points_equal(p, q)
-
-
 def _exclusion_checks(curve, subject_name, point, delta, checks):
     neg_delta = curve.neg(delta)
     for name, excluded in zip(EXCLUDED_NAMES, (EC_INFINITY, delta, neg_delta)):
-        checks.append(ExclusionCheck(subject_name, name, _distinct(curve, point, excluded)))
+        try:
+            passed = not points_equal(point, excluded, "genericity-exclusion")
+        except AmbiguousCoincidenceError:
+            passed = False  # not certifiably distinct
+        checks.append(ExclusionCheck(subject_name, name, passed))
 
 
 def _run_all_checks(curve, points, delta) -> list:
@@ -235,16 +222,10 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
     curve = EllipticCurve(cert.lam)
     if len(cert.points) != cert.r - 1:
         return False
-    delta_check = curve.delta()
-    if not _distinct_is_false(curve, cert.delta, delta_check):
+    if not points_equal(cert.delta, curve.delta(), "certificate-delta"):
         return False
     for p in cert.points:
         if not curve.contains(p):
             return False
     checks = _run_all_checks(curve, cert.points, cert.delta)
     return all(c.passed for c in checks)
-
-
-def _distinct_is_false(curve, p, q) -> bool:
-    """True when two points agree (exactly or within tolerance)."""
-    return not _distinct(curve, p, q)

@@ -16,15 +16,13 @@ from functools import cached_property
 
 from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, OffCurveError
 from .scalars import (
-    ComplexApprox,
     NOT_REPRESENTABLE,
     DEFAULT_PREC_BITS,
     DEFAULT_TOL,
     as_approx,
-    is_approx,
+    coordinates_equal,
     is_exact,
     scalar_is_zero,
-    scalars_equal,
     sqrt_in_tower,
 )
 
@@ -65,25 +63,11 @@ X_INFINITY_PLUS = GenusTwoPoint.infinity(+1)
 X_INFINITY_MINUS = GenusTwoPoint.infinity(-1)
 
 
-def genus2_points_equal(p: GenusTwoPoint, q: GenusTwoPoint) -> bool:
+def genus2_points_equal(p: GenusTwoPoint, q: GenusTwoPoint,
+                        check_name: str = "genus2-point-equality") -> bool:
     if p.is_infinity or q.is_infinity:
         return p.infinity_sign == q.infinity_sign
-    return scalars_equal(p.x, q.x) and scalars_equal(p.y, q.y)
-
-
-def genus2_point_distance(p: GenusTwoPoint, q: GenusTwoPoint,
-                          prec: int = DEFAULT_PREC_BITS):
-    """Max-norm coordinate distance; +inf between distinct infinity labels
-    or between an affine point and an infinity point."""
-    import mpmath
-
-    if p.is_infinity or q.is_infinity:
-        if p.infinity_sign == q.infinity_sign:
-            return mpmath.mpf(0)
-        return mpmath.inf
-    dx = as_approx(p.x, prec).distance(as_approx(q.x, prec))
-    dy = as_approx(p.y, prec).distance(as_approx(q.y, prec))
-    return max(dx, dy)
+    return coordinates_equal((p.x, p.y), (q.x, q.y), check_name)
 
 
 class GenusTwoCurve:

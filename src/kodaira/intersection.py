@@ -47,7 +47,6 @@ from .scalars import SymbolicScalar
 
 GAMMA = SymbolicScalar.symbol("gamma")
 R = SymbolicScalar.symbol("r")
-DEG_COVER = SymbolicScalar.symbol("deg_cover")
 RSQ = SymbolicScalar.symbol("Rsq")
 X1 = SymbolicScalar.symbol("x1")
 X2 = SymbolicScalar.symbol("x2")

@@ -13,9 +13,13 @@ Four kinds of scalar coexist and interoperate:
   parameter) and the intersection unknowns ``Rsq``, ``x1``, ``x2``, kept
   in canonical cancelled form (sympy backed).
 
-Exact kinds satisfy the field axioms exactly; ComplexApprox satisfies
-them to within its tolerance, and *all* equality tests on it are
-approximate by design (``|z - w| < tol``).
+Exact kinds satisfy the field axioms exactly and compare exactly.
+ComplexApprox satisfies them to within its tolerance, and every
+equality or zero test that involves one is a call to :func:`coincide`,
+which has three outcomes: a distance below ``tol`` is a coincidence, a
+distance of ``COINCIDENCE_GUARD * tol`` or more is certified distinct,
+and a distance in between raises :class:`AmbiguousCoincidenceError` so
+the caller can escalate precision instead of guessing.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import sympy as sp
 
 DEFAULT_PREC_BITS = 256
 DEFAULT_TOL = 1e-30
+# distances in [tol, COINCIDENCE_GUARD * tol) are neither equal nor distinct
+COINCIDENCE_GUARD = 10
 
 # Formal symbols available to SymbolicScalar (fixed registry).
 SYM_GAMMA = sp.Symbol("gamma")
@@ -73,6 +79,37 @@ class NotRepresentable:
 
 
 NOT_REPRESENTABLE = NotRepresentable()
+
+
+class AmbiguousCoincidenceError(RuntimeError):
+    """A distance fell between the coincidence and separation thresholds.
+
+    Carries enough context for the escalation policy to re-run the check
+    at doubled precision.
+    """
+
+    def __init__(self, message, check_name=None, distance=None, tol=None):
+        super().__init__(message)
+        self.check_name = check_name
+        self.distance = distance
+        self.tol = tol
+
+
+def coincide(distance, tol, check_name: str) -> bool:
+    """The one approximate decision: is ``distance`` a coincidence?
+
+    True below ``tol``, False from ``COINCIDENCE_GUARD * tol`` on; the
+    band in between raises :class:`AmbiguousCoincidenceError` rather
+    than a silent call either way.
+    """
+    if distance < tol:
+        return True
+    if distance >= COINCIDENCE_GUARD * tol:
+        return False
+    raise AmbiguousCoincidenceError(
+        f"distance {mpmath.nstr(mpmath.mpf(distance), 8)} within the ambiguity band "
+        f"[{tol}, {COINCIDENCE_GUARD * tol}) during {check_name}",
+        check_name=check_name, distance=distance, tol=tol)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -272,8 +309,9 @@ def _lift_to_mpc(value, prec: int):
 class ComplexApprox:
     """Arbitrary-precision complex value with precision and tolerance.
 
-    Equality testing is approximate by design: two values are considered
-    equal when ``|z - w| < tol``.  Use :meth:`approx_equal`; the ``==``
+    Numeric equality goes through :func:`scalars_equal` and zero tests
+    through :meth:`is_zero`; both classify a distance with
+    :func:`coincide` (equal, distinct, or ambiguous).  The ``==``
     operator compares representations exactly (so instances stay
     hashable) and is not the numeric equality of the type.
     """
@@ -362,15 +400,8 @@ class ComplexApprox:
         with mpmath.workprec(prec):
             return abs(mpmath.mpc(self.re, self.im) - _lift_to_mpc(other, prec))
 
-    def approx_equal(self, other) -> bool:
-        """Tolerance equality: ``|self - other| < tol`` (approximate)."""
-        return self.distance(other) < max(self.tol, getattr(other, "tol", 0.0))
-
     def is_zero(self) -> bool:
-        return self.abs_value() < self.tol
-
-    def at_precision(self, prec: int, tol=None) -> "ComplexApprox":
-        return ComplexApprox(self.re, self.im, prec, self.tol if tol is None else tol)
+        return coincide(self.abs_value(), self.tol, "zero-test")
 
     def __repr__(self):
         with mpmath.workprec(self.prec):
@@ -572,13 +603,26 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
-def scalars_equal(a, b) -> bool:
-    """Equality across kinds: exact where possible, tolerance otherwise."""
-    if isinstance(a, ComplexApprox) or isinstance(b, ComplexApprox):
-        prec = max(getattr(a, "prec", DEFAULT_PREC_BITS), getattr(b, "prec", DEFAULT_PREC_BITS))
-        tol = max(getattr(a, "tol", 0.0), getattr(b, "tol", 0.0)) or DEFAULT_TOL
-        return as_approx(a, prec, tol).approx_equal(as_approx(b, prec, tol))
-    return a == b
+def scalars_equal(a, b, check_name: str = "scalar-equality") -> bool:
+    """Equality across kinds: exact where possible, :func:`coincide` otherwise."""
+    return coordinates_equal((a,), (b,), check_name)
+
+
+def coordinates_equal(a: tuple, b: tuple, check_name: str) -> bool:
+    """Equality of two coordinate tuples, such as the two points' ``(x, y)``.
+
+    All-exact tuples compare exactly.  Otherwise the max-norm distance is
+    classified once, at the largest precision and tolerance among the
+    approximate entries, so a coordinate inside the ambiguity band does
+    not raise when another one is certifiably apart.
+    """
+    approx = [v for v in a + b if isinstance(v, ComplexApprox)]
+    if not approx:
+        return a == b
+    prec = max(v.prec for v in approx)
+    tol = max(v.tol for v in approx)
+    distance = max(as_approx(u, prec, tol).distance(v) for u, v in zip(a, b))
+    return coincide(distance, tol, check_name)
 
 
 def scalar_to_json(x):

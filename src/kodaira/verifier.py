@@ -7,11 +7,13 @@ deterministic: a fixed ``(seed, lam, r, schedule)`` reproduces identical
 tallies and identical report bytes (wall time is kept out of the
 serialized report for that reason).
 
-A coincidence decision that falls into the ambiguity band (closer than
-ten tolerances but not within one) triggers the escalation policy: the
-affected check is re-executed once from scratch at doubled precision;
-if it stays ambiguous the run fails loudly with a distinct status
-instead of silently merging nearby points.
+Every approximate decision goes through :func:`kodaira.scalars.coincide`.
+One that falls into the ambiguity band (closer than ten tolerances but
+not within one) raises, and :func:`verify_claim` escalates inline: the
+affected check is re-executed from scratch at the next precision of its
+schedule (doubled at each step); if it is still ambiguous at the last
+precision the run fails loudly with a distinct status instead of
+silently merging nearby points.
 """
 
 from __future__ import annotations
@@ -21,21 +23,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config_curve import (
-    AmbiguousCoincidenceError,
-    ConfigurationCurve,
-    genus,
-    sample_genus2_point,
-)
+from .config_curve import ConfigurationCurve, genus, sample_genus2_point
 from .elliptic import SingularCurveError
 from .generic_points import find_generic_points, verify_certificate
-from .genus2 import GenusTwoCurve, genus2_point_distance, genus2_points_equal
+from .genus2 import GenusTwoCurve, genus2_points_equal
 from .scalars import (
+    AmbiguousCoincidenceError,
     ComplexApprox,
     DEFAULT_PREC_BITS,
     DEFAULT_TOL,
     format_rational,
     parse_rational,
+    scalar_is_zero,
 )
 
 import random
@@ -146,10 +145,7 @@ class _Context:
 
 def _check_discriminant(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):
     disc = ctx.elliptic.discriminant()
-    if isinstance(disc, Fraction):
-        ok = disc != 0
-    else:
-        ok = not disc.is_zero()
+    ok = not scalar_is_zero(disc)
     tally.record(ok)
     if not ok:
         run.counterexamples.append({"check": "discriminant", "value": str(disc)})
@@ -229,11 +225,7 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
 
 
 def _branch_sign(ctx: _Context, point) -> int:
-    plus = ctx.curve.branch_point(+1)
-    if point.is_exact and plus.is_exact:
-        return +1 if genus2_points_equal(point, plus) else -1
-    d = genus2_point_distance(point, plus, ctx.prec)
-    return +1 if d < ctx.tol else -1
+    return +1 if genus2_points_equal(point, ctx.curve.branch_point(+1), "branch-sign") else -1
 
 
 def _check_projection_degrees(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):
@@ -335,25 +327,3 @@ def verify_claim(lam_spec, r: int, samples: int = 50, seed: int = 0,
     run.wall_time_s = time.perf_counter() - start
     return run
 
-
-def precision_escalation_policy(run: VerificationRun) -> VerificationRun:
-    """Re-execute the escalated checks of a finished run at the next
-    precision level; identical to what :func:`verify_claim` does inline.
-
-    Provided as a standalone entry point so an ambiguous report can be
-    retried without repeating the clean checks.
-    """
-    if not run.escalations:
-        return run
-    top = run.precision_schedule[-1]
-    retry = verify_claim(run.lam_spec, run.r, run.sample_count, run.seed,
-                         prec=top, tol=run.tol, escalation_steps=0)
-    merged = VerificationRun(
-        seed=run.seed, lam_spec=run.lam_spec, r=run.r,
-        precision_schedule=run.precision_schedule + [top * 2],
-        tol=run.tol, sample_count=run.sample_count,
-        tallies=retry.tallies, counterexamples=retry.counterexamples,
-        escalations=run.escalations + retry.escalations, status=retry.status,
-        wall_time_s=run.wall_time_s + retry.wall_time_s,
-    )
-    return merged

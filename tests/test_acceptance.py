@@ -101,7 +101,7 @@ def test_criterion_06_smoothness():
     ok = True
     for r in range(2, 7):
         cert = find_generic_points(curve.elliptic_quotient(), r)
-        config = ConfigurationCurve(curve, cert.offsets(), rank_rtol=1e-12)
+        config = ConfigurationCurve(curve, cert.offsets())
         rng = random.Random(100 + r)
         checked = 0
         while checked < 100:

@@ -118,30 +118,6 @@ def test_clean_run_not_escalated():
     assert not any(t.escalated for t in run.tallies.values())
 
 
-def test_standalone_policy_leaves_clean_run_unchanged():
-    from kodaira.verifier import precision_escalation_policy
-
-    run = verify_claim("1/1", 2, samples=5, seed=0)
-    assert precision_escalation_policy(run) is run
-
-
-def test_standalone_policy_retries_escalated_run(monkeypatch):
-    from kodaira.verifier import precision_escalation_policy
-
-    def flaky(ctx, run, tally, rng):
-        if ctx.prec <= 256:
-            raise AmbiguousCoincidenceError("band", check_name="flaky",
-                                            distance=1e-31, tol=1e-30)
-        tally.record(True)
-
-    monkeypatch.setattr(verifier_module, "_CHECKS", (("flaky", flaky),))
-    first = verify_claim("1/1", 2, samples=1, seed=0)
-    assert first.escalations
-    retried = precision_escalation_policy(first)
-    assert retried.passed
-    assert retried.escalations  # original events preserved
-
-
 def test_counterexample_dump_on_failure(monkeypatch):
     def failing(ctx, run, tally, rng):
         tally.record(False)
