@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from .config_curve import genus
+from .config_curve import ConfigurationCurve, genus
 from .elliptic import EllipticCurve, SingularCurveError
 from .generic_points import SearchExhausted, find_generic_points
 from .intersection import k_squared
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dump-enumeration", default=None,
-                   help="also write the branch-point enumeration as CSV")
+                   help="also write the branch points the run checked, as CSV")
 
     p = sub.add_parser("genus", parents=[common],
                        help="tower genus: recursion and closed form")
@@ -190,16 +190,8 @@ def _cmd_verify(args) -> int:
     run = verify_claim(spec, args.r, samples=args.samples, seed=args.seed,
                        prec=args.precision, tol=args.tol)
     if args.dump_enumeration:
-        from .config_curve import ConfigurationCurve
-        from .generic_points import find_generic_points as _fgp
-        from .genus2 import GenusTwoCurve
-
-        lam = lambda_at(spec, args.precision, args.tol)
-        x_curve = GenusTwoCurve(lam, args.precision, args.tol)
-        cert = _fgp(x_curve.elliptic_quotient(), args.r)
-        config = ConfigurationCurve(x_curve, cert.offsets())
         with open(args.dump_enumeration, "w") as fh:
-            fh.write(config.enumeration_to_csv(config.branch_points()))
+            fh.write(ConfigurationCurve.enumeration_to_csv(run.branch_points))
     _emit(args, run.to_json())
     return EXIT_OK if run.passed else EXIT_VERIFICATION_FAILED
 

@@ -10,6 +10,15 @@ first coordinate, Jacobian matrices and their structural rank
 their count ``2^r``, the genus by Riemann-Hurwitz recursion against its
 closed form ``r * 2^(r-1) + 1``, and coordinate-projection degrees
 ``2^(r-1)``.
+
+Every enumeration of tuples is :meth:`ConfigurationCurve.projection_fiber`:
+a product of per-slot choices, each a cover fiber of one or two points or
+a single given point.  Two tuples of one enumeration differ at the first
+slot where their choices differ, and all tuples that agree on the earlier
+slots see the same fiber there, since the later fibers depend only on
+``p_1``.  So the tuples are pairwise distinct once the two points of every
+two-point slot fiber are certified distinct: one decision per slot, made
+on the points in the coordinate kind the tuples carry.
 """
 
 from __future__ import annotations
@@ -228,27 +237,8 @@ class ConfigurationCurve:
     # -- fibers over the first coordinate ------------------------------------------
 
     def fiber_over_first(self, p1: GenusTwoPoint) -> list:
-        """All tuples of the configuration curve with first coordinate ``p1``.
-
-        Generically ``2^(r-1)`` tuples: an independent two-point fiber
-        choice for each later slot; a slot whose target hits a branch
-        image contributes a single choice.  Results are converted to a
-        uniform coordinate kind.
-        """
-        base_image = self.curve.cover(p1)
-        slot_choices = []
-        for e in self.offsets:
-            target = self.elliptic.add(base_image, e)
-            slot_choices.append(self.curve.fiber(target))
-        tuples = []
-        for combo in itertools.product(*slot_choices):
-            tuples.append(self._uniform(ConfigTuple((p1,) + combo)))
-        return tuples
-
-    def _uniform(self, tup: ConfigTuple) -> ConfigTuple:
-        if tup.kinds_uniform():
-            return tup
-        return tup.as_approx(self.curve.prec, self.curve.tol)
+        """All tuples of the configuration curve with first coordinate ``p1``."""
+        return self.projection_fiber(1, p1)
 
     # -- Jacobian and rank -----------------------------------------------------------
 
@@ -274,71 +264,75 @@ class ConfigurationCurve:
     def branch_points(self) -> list:
         """The branch points of the double cover forgetting the last slot.
 
-        These are exactly the member tuples whose last coordinate is one
-        of the two cover-critical points; the enumeration walks both
-        critical points, the two first-slot choices over the forced
-        image, and the independent choices in the middle slots.
+        These are the member tuples whose last coordinate is one of the two
+        cover-critical points: the last slot's projection fibers over both.
+        Each fiber's tuples are certified distinct slot by slot, and two
+        tuples from different fibers differ in the last slot once the two
+        critical points are certified distinct.  So ``O(r)`` decisions
+        certify all ``2^r`` tuples pairwise distinct, not ``O(4^r)``.
         """
         if self.r < 2:
             raise ValueError("the forget-last-coordinate tower needs r >= 2")
-        found = []
-        e_last = self.offsets[-1]
-        for sign in (+1, -1):
-            p_last = self.curve.branch_point(sign)
-            image_last = self.curve.cover(p_last)
-            first_image = self.elliptic.sub(image_last, e_last)
-            for p1 in self.curve.fiber(first_image):
-                base_image = self.curve.cover(p1)
-                middle_choices = []
-                for e in self.offsets[:-1]:
-                    target = self.elliptic.add(base_image, e)
-                    middle_choices.append(self.curve.fiber(target))
-                for combo in itertools.product(*middle_choices):
-                    found.append(self._uniform(ConfigTuple((p1,) + combo + (p_last,))))
-        self._check_pairwise_distinct(found, "branch-point-enumeration")
-        return found
+        plus, minus = (self.projection_fiber(self.r, self.curve.branch_point(sign))
+                       for sign in (+1, -1))
+        self._certify_distinct([plus[0][-1], minus[0][-1]])
+        return plus + minus
 
-    def _check_pairwise_distinct(self, tuples: list, check_name: str):
-        for a, b in itertools.combinations(tuples, 2):
-            if all(genus2_points_equal(pa, pb, check_name) for pa, pb in zip(a, b)):
-                raise AmbiguousCoincidenceError(
-                    f"two enumerated tuples coincide during {check_name}",
-                    check_name=check_name, distance=0.0, tol=self.curve.tol)
-
-    # -- projection degrees ---------------------------------------------------------
+    # -- projection fibers: the one enumeration of tuples ---------------------------
 
     def projection_fiber(self, j: int, value: GenusTwoPoint,
                          with_slot_sizes: bool = False):
-        """All member tuples whose j-th coordinate equals ``value`` (1-based)."""
+        """All member tuples whose j-th coordinate equals ``value`` (1-based).
+
+        The one enumeration of tuples (see the module docstring).  Slot 1
+        ranges over the fiber over ``cover(value) - e_j`` (just ``value``
+        when ``j = 1``), slot ``j`` holds ``value`` and every other slot
+        ``i`` the fiber over ``cover(p_1) + e_i``; a slot whose target is a
+        branch image has one choice.  ``with_slot_sizes`` also returns the
+        number of choices of every slot but ``j``.
+        """
         if not 1 <= j <= self.r:
             raise ValueError("projection index out of range")
-        tuples = []
-        slot_sizes = []
         if j == 1:
             p1_choices = [value]
         else:
-            e_j = self.offsets[j - 2]
-            first_image = self.elliptic.sub(self.curve.cover(value), e_j)
+            first_image = self.elliptic.sub(self.curve.cover(value), self.offsets[j - 2])
             p1_choices = self.curve.fiber(first_image)
-            slot_sizes.append(len(p1_choices))
+        tuples, firsts = [], []
         for p1 in p1_choices:
             base_image = self.curve.cover(p1)
-            slot_choices = []
-            for i, e in enumerate(self.offsets, start=2):
-                if i == j:
-                    slot_choices.append([value])
-                else:
-                    target = self.elliptic.add(base_image, e)
-                    fib = self.curve.fiber(target)
-                    slot_choices.append(fib)
-            if p1 is p1_choices[0]:
-                slot_sizes.extend(len(c) for i, c in enumerate(slot_choices, start=2)
-                                  if i != j)
-            for combo in itertools.product(*slot_choices):
-                tuples.append(self._uniform(ConfigTuple((p1,) + combo)))
+            slots = self._uniform([[p1]] + [
+                [value] if i == j else self.curve.fiber(self.elliptic.add(base_image, e))
+                for i, e in enumerate(self.offsets, start=2)])
+            for choices in slots[1:]:
+                self._certify_distinct(choices)
+            if not firsts:
+                slot_sizes = [len(p1_choices)] + [len(c) for c in slots[1:]]
+            firsts.append(slots[0][0])
+            tuples.extend(ConfigTuple(combo) for combo in itertools.product(*slots))
+        self._certify_distinct(firsts)
         if with_slot_sizes:
-            return tuples, slot_sizes
+            return tuples, [n for i, n in enumerate(slot_sizes, start=1) if i != j]
         return tuples
+
+    def _uniform(self, slots: list) -> list:
+        """Slot choices in the kind their tuples carry: mixed lifts to ComplexApprox.
+
+        The two points of a fiber share their kind, so all tuples of the
+        product have the same kinds, and certifying lifted choices certifies
+        the tuples as emitted.
+        """
+        if ConfigTuple(tuple(p for choices in slots for p in choices)).kinds_uniform():
+            return slots
+        return [list(ConfigTuple(tuple(choices)).as_approx(self.curve.prec, self.curve.tol))
+                for choices in slots]
+
+    def _certify_distinct(self, choices: list):
+        """Raise unless the choices of a two-point slot are certified distinct."""
+        if len(choices) == 2 and genus2_points_equal(*choices, "enumeration-distinctness"):
+            raise AmbiguousCoincidenceError(
+                "two enumerated tuples coincide during enumeration-distinctness",
+                check_name="enumeration-distinctness", distance=0.0, tol=self.curve.tol)
 
     def projection_degree_estimate(self, j: int, samples: int = 10, seed: int = 0) -> int:
         """Fiber cardinality of the j-th projection; must be ``2^(r-1)``.
@@ -397,13 +391,14 @@ class ConfigurationCurve:
             notes=BASE_EULER_NOTE,
         )
 
-    def enumeration_to_csv(self, tuples: list) -> str:
-        """One tuple per row, coordinates rendered as strings."""
-        lines = []
-        header = []
-        for i in range(1, self.r + 1):
-            header += [f"x{i}", f"y{i}"]
-        lines.append(",".join(header))
+    @staticmethod
+    def enumeration_to_csv(tuples: list) -> str:
+        """One tuple per row, coordinates rendered as strings.
+
+        The header names the coordinates of the first tuple's slots, so
+        the enumeration must not be empty.
+        """
+        lines = [",".join(f"{c}{i}" for i in range(1, len(tuples[0]) + 1) for c in "xy")]
         for tup in tuples:
             row = []
             for p in tup:

@@ -9,9 +9,8 @@ Four kinds of scalar coexist and interoperate:
   backed) carrying their working precision and an equality tolerance;
 * :class:`SymbolicScalar` -- rational functions in the formal symbols
   ``gamma`` (base genus), ``r`` (number of marked points / sections),
-  ``deg_cover`` (degree of the smooth base cover), ``lam`` (curve
-  parameter) and the intersection unknowns ``Rsq``, ``x1``, ``x2``, kept
-  in canonical cancelled form (sympy backed).
+  ``lam`` (curve parameter) and the intersection unknowns ``Rsq``,
+  ``x1``, ``x2``, kept in canonical cancelled form (sympy backed).
 
 Exact kinds satisfy the field axioms exactly and compare exactly.
 ComplexApprox satisfies them to within its tolerance, and every
@@ -40,7 +39,6 @@ COINCIDENCE_GUARD = 10
 # Formal symbols available to SymbolicScalar (fixed registry).
 SYM_GAMMA = sp.Symbol("gamma")
 SYM_R = sp.Symbol("r")
-SYM_DEG_COVER = sp.Symbol("deg_cover")
 SYM_LAM = sp.Symbol("lam")
 SYM_RSQ = sp.Symbol("Rsq")
 SYM_X1 = sp.Symbol("x1")
@@ -49,7 +47,6 @@ SYM_X2 = sp.Symbol("x2")
 _SYMBOLS = {
     "gamma": SYM_GAMMA,
     "r": SYM_R,
-    "deg_cover": SYM_DEG_COVER,
     "lam": SYM_LAM,
     "Rsq": SYM_RSQ,
     "x1": SYM_X1,

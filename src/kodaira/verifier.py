@@ -105,6 +105,7 @@ class VerificationRun:
     escalations: list = field(default_factory=list)
     status: str = "pass"
     wall_time_s: float = 0.0     # excluded from the serialized report
+    branch_points: list = field(default_factory=list)  # the checked ones; not serialized
 
     @property
     def passed(self) -> bool:
@@ -192,7 +193,7 @@ def _check_membership_and_rank(ctx: _Context, run: VerificationRun, tally: Check
 def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):
     config = ctx.config
     r = config.r
-    points = config.branch_points()
+    points = run.branch_points = config.branch_points()
     expected = 2 ** r
     ok_count = len(points) == expected
     tally.record(ok_count)

@@ -9,6 +9,11 @@ from kodaira.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from kodaira.config_curve import ConfigurationCurve
+from kodaira.generic_points import find_generic_points
+from kodaira.genus2 import GenusTwoCurve
+from kodaira.scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, AmbiguousCoincidenceError
+from kodaira.verifier import lambda_at
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +92,31 @@ def test_verify_dump_enumeration(capsys, tmp_path):
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "x1,y1,x2,y2"
     assert len(lines) == 1 + 4
+
+
+def test_dump_enumeration_writes_the_checked_points(capsys, tmp_path, monkeypatch):
+    # the branch count is ambiguous at the base precision and escalates;
+    # the dump holds the points checked at the escalated precision
+    original = ConfigurationCurve.branch_points
+
+    def ambiguous_at_base(self):
+        if self.curve.prec == DEFAULT_PREC_BITS:
+            raise AmbiguousCoincidenceError("forced", check_name="test",
+                                            distance=0.0, tol=self.curve.tol)
+        return original(self)
+
+    monkeypatch.setattr(ConfigurationCurve, "branch_points", ambiguous_at_base)
+    target = tmp_path / "branch.csv"
+    code, out, _ = run_cli(capsys, "verify-config-curve", "--lambda", "0.5,0.25",
+                           "--r", "2", "--samples", "2",
+                           "--dump-enumeration", str(target))
+    assert code == EXIT_OK
+    assert [e["check"] for e in json.loads(out)["escalations"]] == ["branch_count"]
+    prec = 2 * DEFAULT_PREC_BITS
+    curve = GenusTwoCurve(lambda_at(("0.5", "0.25"), prec, DEFAULT_TOL), prec, DEFAULT_TOL)
+    config = ConfigurationCurve(
+        curve, find_generic_points(curve.elliptic_quotient(), 2).offsets())
+    assert target.read_text() == config.enumeration_to_csv(original(config))
 
 
 def test_k_squared_symbolic(capsys):

@@ -18,6 +18,7 @@ from kodaira.config_curve import (
     tower_genus_closed_form,
     tower_genus_recursion,
 )
+from kodaira.elliptic import points_equal
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
 from kodaira.scalars import ComplexApprox, QuadExt, as_approx, quadext
@@ -345,6 +346,63 @@ def test_ambiguity_band_raises():
     curve = GenusTwoCurve(Fraction(1), tol=1e-1)
     cert = find_generic_points(curve.elliptic_quotient(), 3)
     cc = ConfigurationCurve(curve, cert.offsets())
+    with pytest.raises(AmbiguousCoincidenceError):
+        cc.branch_points()
+
+
+def _complex_curve(r):
+    curve = GenusTwoCurve(ComplexApprox.from_re_im_strings("0.5", "0.25"))
+    cert = find_generic_points(curve.elliptic_quotient(), r)
+    return curve, ConfigurationCurve(curve, cert.offsets())
+
+
+def test_repeated_fiber_point_raises(monkeypatch):
+    # the per-slot certificate is no weaker than comparing all pairs: a
+    # two-point fiber that repeats its point makes two tuples coincide
+    curve, cc = _complex_curve(3)
+    original = GenusTwoCurve.fiber
+
+    def repeating(self, q):
+        points = original(self, q)
+        return [points[0], points[0]] if len(points) == 2 else points
+
+    monkeypatch.setattr(GenusTwoCurve, "fiber", repeating)
+    with pytest.raises(AmbiguousCoincidenceError):
+        cc.branch_points()
+    p1 = None
+    rng = random.Random(3)
+    while p1 is None:
+        p1 = sample_genus2_point(curve, rng)
+    with pytest.raises(AmbiguousCoincidenceError):
+        cc.fiber_over_first(p1)
+
+
+def test_repeated_critical_point_raises(monkeypatch):
+    # the two halves of the branch enumeration differ only in the last slot
+    curve, cc = _complex_curve(3)
+    plus = curve.branch_point(+1)
+    monkeypatch.setattr(curve, "branch_point", lambda sign=+1: plus)
+    with pytest.raises(AmbiguousCoincidenceError):
+        cc.branch_points()
+
+
+def test_exact_pair_coinciding_once_lifted_raises(monkeypatch):
+    # a middle slot whose two exact choices are 1e-40 apart: exactly they
+    # differ, but the tuples around them are approximate, so the emitted
+    # (lifted) tuples coincide and the certificate must say so
+    curve, cc = _complex_curve(3)
+    first_images = [cc.elliptic.sub(curve.cover(curve.branch_point(sign)), cc.offsets[-1])
+                    for sign in (+1, -1)]
+    near_pair = [GenusTwoPoint.affine(Fraction(1), Fraction(2)),
+                 GenusTwoPoint.affine(1 + Fraction(1, 10 ** 40), Fraction(2))]
+    original = curve.fiber
+
+    def middle_slot_near_pair(q):
+        if any(points_equal(q, image) for image in first_images):
+            return original(q)
+        return near_pair
+
+    monkeypatch.setattr(curve, "fiber", middle_slot_near_pair)
     with pytest.raises(AmbiguousCoincidenceError):
         cc.branch_points()
 

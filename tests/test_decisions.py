@@ -232,21 +232,24 @@ def _mentions_tol(node) -> bool:
                for n in ast.walk(node))
 
 
-def _tolerance_comparisons(path: Path) -> list:
-    """(file, enclosing function, line) of each comparison mentioning a tol."""
-    found = []
-
+def _nodes_in_functions(path: Path):
+    """Every node of a source file with the name of its enclosing function."""
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Compare) and any(
-                _mentions_tol(operand) for operand in [node.left, *node.comparators]):
-            found.append((path.name, function, node.lineno))
+        yield node, function
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            yield from visit(child, function)
 
-    visit(ast.parse(path.read_text(), str(path)), None)
-    return found
+    return visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def _tolerance_comparisons(path: Path) -> list:
+    """(file, enclosing function, line) of each comparison mentioning a tol."""
+    return [(path.name, function, node.lineno)
+            for node, function in _nodes_in_functions(path)
+            if isinstance(node, ast.Compare)
+            and any(_mentions_tol(operand) for operand in [node.left, *node.comparators])]
 
 
 def test_only_coincide_compares_against_a_tolerance():
@@ -257,3 +260,18 @@ def test_only_coincide_compares_against_a_tolerance():
 
 def test_no_general_svd_in_src():
     assert [p.name for p in sorted(SRC.glob("*.py")) if "svd_c" in p.read_text()] == []
+
+
+def test_one_tuple_enumerator():
+    # projection_fiber is the only code that builds tuples, and membership's
+    # check of one tuple's own coordinates is the only pairwise scan; a second
+    # product, or a pairwise scan over an enumeration, would fork them again
+    path = SRC / "config_curve.py"
+    calls = [(node.func.attr, function) for node, function in _nodes_in_functions(path)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "itertools"]
+    allowed = {("product", "projection_fiber"), ("combinations", "contains")}
+    assert ("product", "projection_fiber") in calls
+    assert [c for c in calls if c[0] in ("product", "combinations") and c not in allowed] == []
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                   for node, _ in _nodes_in_functions(path))

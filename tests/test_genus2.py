@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kodaira.elliptic import EC_INFINITY, EllipticPoint, OffCurveError
+from kodaira.config_curve import sample_genus2_point
+from kodaira.elliptic import EC_INFINITY, EllipticPoint, OffCurveError, points_equal
 from kodaira.genus2 import (
     GenusTwoCurve,
     GenusTwoPoint,
@@ -162,3 +164,58 @@ def test_complex_parameter_cover(curve1):
     assert curve.is_branch_point(s)
     image = curve.cover(s)
     assert curve.elliptic_quotient().contains(image)
+
+
+# -- the fiber over a covered point ------------------------------------------------
+
+_RATIONAL_X = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_COMPLEX_LAMBDAS = [ComplexApprox.from_re_im_strings("0.5", "0.25"),
+                    ComplexApprox.from_re_im_strings("0.3", "0.7")]
+
+
+def _with_y(curve, x, sign):
+    # y = sqrt(rhs(x)) as a Fraction when rhs(x) is a rational square,
+    # otherwise as a QuadExt
+    return GenusTwoPoint.affine(x, sign * quadext(0, 1, curve.rhs(x)))
+
+
+@st.composite
+def _points(draw):
+    """A curve and a point on it: exact, QuadExt or approximate coordinates."""
+    kind = draw(st.sampled_from(["exact", "quadext-y", "quadext-x", "complex"]))
+    sign = draw(st.sampled_from([+1, -1]))
+    if kind == "exact":
+        # the rational points of y^2 = x^6 + x^2 + 1 of small height, and infinity
+        curve = GenusTwoCurve(Fraction(1))
+        x = draw(st.sampled_from([None, Fraction(0), Fraction(1, 2), Fraction(-1, 2)]))
+        return curve, GenusTwoPoint.infinity(sign) if x is None else _with_y(curve, x, sign)
+    if kind == "quadext-y":
+        curve = GenusTwoCurve(Fraction(1))
+        return curve, _with_y(curve, draw(_RATIONAL_X), sign)
+    if kind == "quadext-x":
+        # x = t*sqrt(2) on the lam = 2 curve, whose fiber roots live in Q(sqrt 2)
+        curve = GenusTwoCurve(Fraction(2))
+        return curve, _with_y(curve, quadext(0, draw(_RATIONAL_X), 2), sign)
+    curve = GenusTwoCurve(draw(st.sampled_from(_COMPLEX_LAMBDAS)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = None
+    while p is None:
+        p = sample_genus2_point(curve, rng)
+    return curve, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_points())
+def test_fiber_of_a_covered_point(case):
+    # cover(fiber(q)) == q, p is in the fiber, and a two-point fiber is
+    # certified distinct: the decision returns False and does not raise
+    curve, p = case
+    assert curve.contains(p)
+    q = curve.cover(p)
+    fiber = curve.fiber(q)
+    assert len(fiber) == (1 if curve.is_branch_point(p) else 2)
+    assert any(genus2_points_equal(p, point) for point in fiber)
+    for point in fiber:
+        assert points_equal(curve.cover(point), q)
+    if len(fiber) == 2:
+        assert genus2_points_equal(*fiber) is False
