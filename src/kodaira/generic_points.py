@@ -217,9 +217,16 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
     """Recompute every exclusion from scratch; True iff all hold.
 
     Self-contained: depends only on the certificate contents.  Exact
-    certificates are re-verified with exact arithmetic.
+    certificates are re-verified with exact arithmetic; approximate ones
+    at the precision and tolerance their own values carry.
     """
-    curve = EllipticCurve(cert.lam)
+    values = [cert.lam]
+    for p in (cert.base_point, cert.delta, *cert.points):
+        values += [p.x, p.y]  # both None at infinity
+    approx = [v for v in values if is_approx(v)]
+    carried = {"prec": max(v.prec for v in approx),
+               "tol": max(v.tol for v in approx)} if approx else {}
+    curve = EllipticCurve(cert.lam, **carried)
     if len(cert.points) != cert.r - 1:
         return False
     if not points_equal(cert.delta, curve.delta(), "certificate-delta"):

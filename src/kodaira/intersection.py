@@ -219,15 +219,8 @@ class IntersectionTable:
 
     Every lookup is resolved by one named rule carrying its geometric
     justification; family-level values are assembled from these by
-    :func:`intersect`.  ``resolve`` produces a copy with the unknowns
-    substituted once they have been derived.
+    :func:`intersect`.
     """
-
-    def __init__(self, substitutions=None):
-        self.substitutions = dict(substitutions or {})
-
-    def _subst(self, value: SymbolicScalar) -> SymbolicScalar:
-        return value.substitute(self.substitutions) if self.substitutions else value
 
     def rule_for(self, a, b, same_member: bool) -> Rule:
         a_kind, b_kind = type(a).__name__, type(b).__name__
@@ -283,12 +276,7 @@ class IntersectionTable:
 
     def lookup(self, a, b) -> SymbolicScalar:
         """Member-level pairing; distinct labels mean distinct members."""
-        return self._subst(self.rule_for(a, b, same_member=(a == b)).value)
-
-    def resolve(self, substitutions: dict) -> "IntersectionTable":
-        merged = dict(self.substitutions)
-        merged.update(substitutions)
-        return IntersectionTable(merged)
+        return self.rule_for(a, b, same_member=(a == b)).value
 
 
 def build_table() -> IntersectionTable:
@@ -381,11 +369,10 @@ def _pair_atoms(a, b, table: IntersectionTable, transcript: Transcript) -> Symbo
         # family against itself: diagonal plus off-diagonal members
         self_rule = table.rule_for(rep_a, rep_a, same_member=True)
         cross_rule = table.rule_for(rep_a, _fresh_member(a, rep_a), same_member=False)
-        value = size_a * table._subst(self_rule.value) \
-            + size_a * (size_a - 1) * table._subst(cross_rule.value)
-        transcript.log(a, b, self_rule, f"{size_a} diagonal", table._subst(self_rule.value))
+        value = size_a * self_rule.value + size_a * (size_a - 1) * cross_rule.value
+        transcript.log(a, b, self_rule, f"{size_a} diagonal", self_rule.value)
         transcript.log(a, b, cross_rule, f"{size_a}*({size_a}-1) off-diagonal",
-                       table._subst(cross_rule.value))
+                       cross_rule.value)
         return value
 
     if _contains_member(b, a):
@@ -396,18 +383,15 @@ def _pair_atoms(a, b, table: IntersectionTable, transcript: Transcript) -> Symbo
         # single member against its own family
         self_rule = table.rule_for(rep_b, rep_b, same_member=True)
         cross_rule = table.rule_for(rep_b, _fresh_member(a, rep_b), same_member=False)
-        value = table._subst(self_rule.value) \
-            + (size_a - 1) * table._subst(cross_rule.value)
-        transcript.log(a, b, self_rule, "1 diagonal", table._subst(self_rule.value))
-        transcript.log(a, b, cross_rule, f"({size_a}-1) off-diagonal",
-                       table._subst(cross_rule.value))
+        value = self_rule.value + (size_a - 1) * cross_rule.value
+        transcript.log(a, b, self_rule, "1 diagonal", self_rule.value)
+        transcript.log(a, b, cross_rule, f"({size_a}-1) off-diagonal", cross_rule.value)
         return value
 
     same = (a == b)
     rule = table.rule_for(rep_a, rep_b, same_member=same)
-    value = size_a * size_b * table._subst(rule.value)
-    transcript.log(a, b, rule, f"{size_a}*{size_b}", table._subst(rule.value))
-    return value
+    transcript.log(a, b, rule, f"{size_a}*{size_b}", rule.value)
+    return size_a * size_b * rule.value
 
 
 def intersect(a: DivisorExpr, b: DivisorExpr, table: IntersectionTable,
@@ -428,9 +412,7 @@ def intersect(a: DivisorExpr, b: DivisorExpr, table: IntersectionTable,
 
 @dataclass
 class AdjunctionResult:
-    table: IntersectionTable
     substitutions: dict
-    steps: list
 
 
 def solve_adjunction(table: IntersectionTable, transcript: Transcript = None) -> AdjunctionResult:
@@ -449,15 +431,14 @@ def solve_adjunction(table: IntersectionTable, transcript: Transcript = None) ->
     """
     transcript = transcript if transcript is not None else Transcript()
     section = Section(1)
-    steps = []
 
     lhs = {}
     for k in (1, 2):
         value = intersect(DivisorExpr.of(section), canonical_divisor(k), table, transcript)
         lhs[k] = value
-        steps.append(f"Section . K via representation {k}: {value}")
+        transcript.conclude(f"Section . K via representation {k}: {value}")
     adjunction = (2 * GAMMA - 2) - RSQ
-    steps.append(f"Section . K via the embedded-curve genus formula: {adjunction}")
+    transcript.conclude(f"Section . K via the embedded-curve genus formula: {adjunction}")
 
     # equations: lhs[k] - adjunction == 0, linear in (Rsq, x2) with x1 free
     eq1 = lhs[1] - adjunction
@@ -485,13 +466,11 @@ def solve_adjunction(table: IntersectionTable, transcript: Transcript = None) ->
         if not eq.substitute(solution).is_zero():
             raise InconsistentTableError("adjunction solution fails to satisfy the system")
 
-    steps.append(f"solved: Rsq = {rsq_value}, x2 = {x2_value}")
+    transcript.conclude(f"solved: Rsq = {rsq_value}, x2 = {x2_value}")
     if not (x2_value - X1).is_zero():
         raise InconsistentTableError("the two pullback pairings disagree")
-    steps.append("the two adjunction routes force x2 = x1")
-    for s in steps:
-        transcript.conclude(s)
-    return AdjunctionResult(table.resolve(solution), solution, steps)
+    transcript.conclude("the two adjunction routes force x2 = x1")
+    return AdjunctionResult(solution)
 
 
 @dataclass
@@ -528,8 +507,7 @@ def lemma_counts(r=None, deg_cover=None) -> LemmaCounts:
         d = deg_cover if deg_cover is not None else 1
         per_point_degrees = d * 2 ** (r - 1)
         gamma_value = 1 + d * r * 2 ** (r - 1)
-        check = per_point_gamma.substitute({"gamma": Fraction(gamma_value)})
-        if check.as_fraction() != Fraction(per_point_degrees):
+        if Fraction(gamma_value - 1, r) != per_point_degrees:
             raise InconsistentTableError("lemma count forms disagree")
     return LemmaCounts(
         per_point_from_base_genus=per_point_gamma,
@@ -556,7 +534,6 @@ class KSquaredDerivation:
     value: SymbolicScalar
     raw_expansion: SymbolicScalar
     adjunction: AdjunctionResult
-    lemma: LemmaCounts
     transcript: Transcript
     alternate_value: SymbolicScalar
 
@@ -604,4 +581,4 @@ def k_squared(r=None, gamma=None) -> KSquaredDerivation:
         substitutions["gamma"] = gamma
     value = resolved.substitute(substitutions) if substitutions else resolved
     alt_value = alt.substitute(substitutions) if substitutions else alt
-    return KSquaredDerivation(value, raw, adj, lemma, transcript, alt_value)
+    return KSquaredDerivation(value, raw, adj, transcript, alt_value)

@@ -11,6 +11,9 @@ the fiber genus is tied to the number of sections by ``g = 3 + r/2``
 -- independent of ``gamma`` -- and the signature ``tau = e*(upsilon-2)/3
 = gamma - 1``.  The slope lies strictly between 2 and 8/3 and decreases
 to 2 as ``r`` grows.
+
+Both identities are proved symbolically once per process; every value
+for a given ``r`` or ``gamma`` is then an exact ``Fraction`` evaluation.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .config_curve import base_genus_from_cover_degree
 from .intersection import GAMMA, R, k_squared, k_squared_closed_form
@@ -39,38 +43,50 @@ def euler_characteristic(g=None, gamma=None):
     """``(2g - 2)*(2*gamma - 2)``, exact or symbolic."""
     if isinstance(g, int) and g < 2:
         raise ValueError("fiber genus must be at least 2")
+    if isinstance(g, int) and isinstance(gamma, int):
+        return Fraction((2 * g - 2) * (2 * gamma - 2))
     if g is None:
         # expressed through r via the fibration relation 2g - 2 = 4 + r
         two_g_minus_2 = 4 + R
     else:
         two_g_minus_2 = 2 * SymbolicScalar(g) - 2
     base = GAMMA if gamma is None else SymbolicScalar(gamma)
-    value = two_g_minus_2 * (2 * base - 2)
-    if isinstance(g, int) and isinstance(gamma, int):
-        return value.as_fraction()
-    return value
+    return two_g_minus_2 * (2 * base - 2)
+
+
+@cache
+def _proved_identities() -> tuple:
+    """Prove the slope and signature identities; return ``(upsilon, tau)``.
+
+    ``K^2 / e`` must be free of ``gamma`` and equal ``2 + 3/(2*(4+r))``,
+    and ``e*(upsilon - 2)/3`` must equal ``gamma - 1``, both as identities
+    of canonical rational functions.  Cached: the proof runs once per
+    process, and every later value is a plain evaluation.
+    """
+    e = euler_characteristic()
+    upsilon = k_squared_closed_form() / e
+    if "gamma" in upsilon.free_symbol_names():
+        raise ArithmeticError("slope failed to eliminate the base genus")
+    if not (upsilon - (2 + 3 / (2 * (4 + R)))).is_zero():
+        raise ArithmeticError("slope does not match its closed form")
+    tau = e * (upsilon - 2) / 3
+    if not (tau - (GAMMA - 1)).is_zero():
+        raise ArithmeticError("signature does not simplify to gamma - 1")
+    return upsilon, tau
 
 
 def slope(r=None) -> object:
-    """Slope ``K^2 / e``; must simplify to ``2 + 3/(2*(4+r))``, gamma-free.
+    """Slope ``K^2 / e``; proved equal to ``2 + 3/(2*(4+r))``, gamma-free.
 
     Exact Fraction for integer even r, symbolic otherwise.  Values of r
     below 8 are computable but lie outside the fibration construction's
     hypotheses (``r >= 8`` even); :func:`range_checks` reports the flag.
     """
-    k2 = k_squared_closed_form()
-    e = (4 + R) * (2 * GAMMA - 2)
-    upsilon = k2 / e
-    if "gamma" in upsilon.free_symbol_names():
-        raise ArithmeticError("slope failed to eliminate the base genus")
-    reference = 2 + 3 / (2 * (4 + R))
-    if not (upsilon - reference).is_zero():
-        raise ArithmeticError("slope does not match its closed form")
+    upsilon, _ = _proved_identities()
     if r is None:
         return upsilon
-    if r % 2 != 0:
-        raise OddFiberParameterError(f"r must be even, got {r}")
-    return upsilon.substitute({"r": r}).as_fraction()
+    fiber_genus(r)  # raises OddFiberParameterError for odd r
+    return slope_closed_form(r)
 
 
 def slope_closed_form(r: int) -> Fraction:
@@ -79,22 +95,18 @@ def slope_closed_form(r: int) -> Fraction:
 
 
 def signature(r=None, gamma=None):
-    """``tau = e*(upsilon - 2)/3``; simplifies to ``gamma - 1``.
+    """``tau = e*(upsilon - 2)/3``; proved equal to ``gamma - 1``.
 
     Positive whenever ``gamma >= 2`` -- the nonvanishing signature is the
-    point of the whole construction.
+    point of the whole construction.  Exact Fraction for integer gamma,
+    symbolic otherwise.
     """
-    upsilon = slope() if r is None else SymbolicScalar(slope(r))
-    e = euler_characteristic(None, gamma) if r is None else \
-        euler_characteristic(fiber_genus(r), gamma)
-    e_sym = e if isinstance(e, SymbolicScalar) else SymbolicScalar(e)
-    tau = e_sym * (upsilon - 2) / 3
-    expected = (GAMMA if gamma is None else SymbolicScalar(gamma)) - 1
-    if not (tau - expected).is_zero():
-        raise ArithmeticError("signature does not simplify to gamma - 1")
+    _, tau = _proved_identities()
+    if r is not None:
+        fiber_genus(r)  # raises OddFiberParameterError for odd r
     if isinstance(gamma, int):
-        return tau.as_fraction()
-    return tau
+        return Fraction(gamma - 1)
+    return tau if gamma is None else tau.substitute({"gamma": gamma})
 
 
 @dataclass

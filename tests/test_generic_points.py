@@ -105,6 +105,19 @@ def test_complex_parameter_certificate():
     assert verify_certificate(cert)
 
 
+def test_certificate_reverifies_at_its_own_tolerance():
+    # made at tol=1e-40, a delta moved by 1e-35 is certifiably wrong
+    # (1e-35 >= 10*1e-40), although it lies inside the default tolerance
+    tol = 1e-40
+    lam = ComplexApprox.from_re_im_strings("0.3", "0.7", tol=tol)
+    cert = GenericityCertificate.from_json(
+        find_generic_points(EllipticCurve(lam, tol=tol), 3).to_json())
+    assert verify_certificate(cert)
+    shift = ComplexApprox.of(Fraction(1, 10 ** 35), tol=tol)
+    cert.delta = EllipticPoint(cert.delta.x + shift, cert.delta.y)
+    assert not verify_certificate(cert)
+
+
 def test_rational_strategy_exhaustion():
     # a curve chosen to have no small rational point in a tiny search box
     curve = EllipticCurve(Fraction(6))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kodaira import invariants
 from kodaira.intersection import GAMMA
 from kodaira.invariants import (
     InvariantReport,
@@ -16,7 +17,7 @@ from kodaira.invariants import (
     slope_table,
     slope_table_csv,
 )
-from kodaira.scalars import symbols
+from kodaira.scalars import SymbolicScalar, symbols
 
 
 def test_fiber_genus():
@@ -54,6 +55,8 @@ def test_slope_symbolic_gamma_free():
 def test_slope_rejects_odd_r():
     with pytest.raises(OddFiberParameterError):
         slope(7)
+    with pytest.raises(OddFiberParameterError):
+        signature(7, 2)
 
 
 def test_slope_limit_towards_two():
@@ -162,3 +165,37 @@ def test_invariant_report_json_stable():
 def test_report_rejects_conflicting_gamma_sources():
     with pytest.raises(ValueError):
         invariant_report(8, gamma=2, deg_cover=1)
+
+
+def test_rows_evaluate_without_symbolic_arithmetic(monkeypatch):
+    # the identities are proved once; rows are plain Fraction evaluations
+    slope()
+    made = []
+    original = SymbolicScalar.__init__
+
+    def counting_init(self, expr):
+        made.append(expr)
+        original(self, expr)
+
+    monkeypatch.setattr(SymbolicScalar, "__init__", counting_init)
+    assert len(slope_table(2, 200)) == 100
+    assert [signature(8, g) for g in (1, 2, 3, 10, 1025)] == [0, 1, 2, 9, 1024]
+    assert all(range_checks(r).all_passed for r in range(2, 61, 2))
+    assert euler_characteristic(7, 2) == 24
+    assert made == []
+
+
+@pytest.fixture
+def fresh_proof():
+    invariants._proved_identities.cache_clear()
+    yield
+    invariants._proved_identities.cache_clear()
+
+
+def test_wrong_closed_form_breaks_the_proof(monkeypatch, fresh_proof):
+    real = invariants.k_squared_closed_form
+    monkeypatch.setattr(invariants, "k_squared_closed_form", lambda: real() + 1)
+    with pytest.raises(ArithmeticError):
+        slope(8)
+    with pytest.raises(ArithmeticError):
+        signature(8, 2)
