@@ -6,14 +6,19 @@ curve of compatible point tuples inside the r-fold product, and the
 numeric invariants of the associated Kodaira fibration: branch counts,
 genus, canonical self-intersection, Euler characteristic, signature and
 slope -- every step either exact or at certified precision.
+
+The symbolic layer (``SymbolicScalar``, the intersection engine and the
+invariants) is the only user of sympy; its names load on first use, so
+the curves and the verifier run without it.
 """
+
+import importlib
 
 from .scalars import (
     ComplexApprox,
     NOT_REPRESENTABLE,
     NotRepresentable,
     QuadExt,
-    SymbolicScalar,
     quadext,
     sqrt_in_tower,
 )
@@ -38,28 +43,6 @@ from .config_curve import (
     tower_genus_closed_form,
     tower_genus_recursion,
 )
-from .intersection import (
-    DivisorExpr,
-    IntersectionTable,
-    Transcript,
-    build_table,
-    canonical_divisor,
-    intersect,
-    k_squared,
-    k_squared_closed_form,
-    lemma_counts,
-    solve_adjunction,
-)
-from .invariants import (
-    InvariantReport,
-    euler_characteristic,
-    fiber_genus,
-    invariant_report,
-    range_checks,
-    signature,
-    slope,
-    slope_table,
-)
 from .verifier import VerificationRun, verify_claim
 
 __version__ = "0.1.0"
@@ -80,3 +63,13 @@ __all__ = [
     "invariant_report", "range_checks", "signature", "slope", "slope_table",
     "VerificationRun", "verify_claim",
 ]
+
+
+def __getattr__(name):
+    # names of __all__ not imported above belong to the symbolic layer
+    if name in __all__:
+        for module in ("symbolic", "intersection", "invariants"):
+            namespace = vars(importlib.import_module(f"{__name__}.{module}"))
+            if name in namespace:
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

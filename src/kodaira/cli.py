@@ -29,13 +29,6 @@ import sys
 from .config_curve import ConfigurationCurve, genus
 from .elliptic import EllipticCurve, SingularCurveError
 from .generic_points import SearchExhausted, find_generic_points
-from .intersection import k_squared
-from .invariants import (
-    OddFiberParameterError,
-    invariant_report,
-    slope_table,
-    slope_table_csv,
-)
 from .scalars import (
     DEFAULT_PREC_BITS,
     DEFAULT_TOL,
@@ -207,6 +200,8 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_k_squared(args) -> int:
+    from .intersection import k_squared
+
     gamma = None if args.symbolic else args.gamma
     derivation = k_squared(r=args.r, gamma=gamma)
     payload = {
@@ -227,12 +222,16 @@ def _cmd_k_squared(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .invariants import invariant_report
+
     report = invariant_report(args.r, gamma=args.gamma, deg_cover=args.deg_cover)
     _emit(args, report.to_json())
     return EXIT_OK
 
 
 def _cmd_slope_table(args) -> int:
+    from .invariants import slope_table, slope_table_csv
+
     if args.format == "csv":
         _emit(args, slope_table_csv(args.r_min, args.r_max))
         return EXIT_OK
@@ -263,8 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, SingularCurveError, OddFiberParameterError,
-            SearchExhausted) as exc:
+    except (ValueError, SingularCurveError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PrecisionExhausted, AmbiguousCoincidenceError) as exc:

@@ -13,12 +13,12 @@ closed form ``r * 2^(r-1) + 1``, and coordinate-projection degrees
 
 Every enumeration of tuples is :meth:`ConfigurationCurve.projection_fiber`:
 a product of per-slot choices, each a cover fiber of one or two points or
-a single given point.  Two tuples of one enumeration differ at the first
-slot where their choices differ, and all tuples that agree on the earlier
-slots see the same fiber there, since the later fibers depend only on
-``p_1``.  So the tuples are pairwise distinct once the two points of every
-two-point slot fiber are certified distinct: one decision per slot, made
-on the points in the coordinate kind the tuples carry.
+a single given point.  The later fibers depend only on ``cover(p_1)``,
+which both choices of ``p_1`` share, so every slot has one fiber for the
+whole enumeration and two tuples differ at the first slot where their
+choices differ.  So the tuples are pairwise distinct once the two points
+of every two-point slot fiber are certified distinct: one decision per
+slot, made on the points in the coordinate kind the tuples carry.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ import mpmath
 
 from .elliptic import points_equal
 from .genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
-from .generic_points import GenericityCertificate
 from .scalars import (
-    DEFAULT_PREC_BITS,
-    DEFAULT_TOL,
     AmbiguousCoincidenceError,
     ComplexApprox,
     as_approx,
@@ -63,10 +60,6 @@ class ConfigTuple:
 
     def __getitem__(self, i):
         return self.points[i]
-
-    @property
-    def is_exact(self) -> bool:
-        return all(p.is_exact for p in self.points)
 
     def kinds_uniform(self) -> bool:
         kinds = {p.is_exact for p in self.points if not p.is_infinity}
@@ -203,11 +196,6 @@ class ConfigurationCurve:
         self.offsets = list(offsets)          # e_2 .. e_r
         self.r = len(self.offsets) + 1
 
-    @classmethod
-    def from_certificate(cls, cert: GenericityCertificate, prec: int = DEFAULT_PREC_BITS,
-                         tol: float = DEFAULT_TOL) -> "ConfigurationCurve":
-        return cls(GenusTwoCurve(cert.lam, prec, tol), cert.offsets())
-
     # -- membership ---------------------------------------------------------------
 
     def contains(self, tup: ConfigTuple) -> bool:
@@ -288,8 +276,10 @@ class ConfigurationCurve:
         ranges over the fiber over ``cover(value) - e_j`` (just ``value``
         when ``j = 1``), slot ``j`` holds ``value`` and every other slot
         ``i`` the fiber over ``cover(p_1) + e_i``; a slot whose target is a
-        branch image has one choice.  ``with_slot_sizes`` also returns the
-        number of choices of every slot but ``j``.
+        branch image has one choice.  The choices ``(+-x, y)`` of slot 1
+        share the cover image ``(x^2, y)``, so every later slot fiber is
+        built once.  ``with_slot_sizes`` also returns the number of
+        choices of every slot but ``j``.
         """
         if not 1 <= j <= self.r:
             raise ValueError("projection index out of range")
@@ -298,21 +288,15 @@ class ConfigurationCurve:
         else:
             first_image = self.elliptic.sub(self.curve.cover(value), self.offsets[j - 2])
             p1_choices = self.curve.fiber(first_image)
-        tuples, firsts = [], []
-        for p1 in p1_choices:
-            base_image = self.curve.cover(p1)
-            slots = self._uniform([[p1]] + [
-                [value] if i == j else self.curve.fiber(self.elliptic.add(base_image, e))
-                for i, e in enumerate(self.offsets, start=2)])
-            for choices in slots[1:]:
-                self._certify_distinct(choices)
-            if not firsts:
-                slot_sizes = [len(p1_choices)] + [len(c) for c in slots[1:]]
-            firsts.append(slots[0][0])
-            tuples.extend(ConfigTuple(combo) for combo in itertools.product(*slots))
-        self._certify_distinct(firsts)
+        base_image = self.curve.cover(p1_choices[0])
+        slots = self._uniform([p1_choices] + [
+            [value] if i == j else self.curve.fiber(self.elliptic.add(base_image, e))
+            for i, e in enumerate(self.offsets, start=2)])
+        for choices in slots:
+            self._certify_distinct(choices)
+        tuples = [ConfigTuple(combo) for combo in itertools.product(*slots)]
         if with_slot_sizes:
-            return tuples, [n for i, n in enumerate(slot_sizes, start=1) if i != j]
+            return tuples, [len(c) for i, c in enumerate(slots, start=1) if i != j]
         return tuples
 
     def _uniform(self, slots: list) -> list:

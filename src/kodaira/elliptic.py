@@ -43,10 +43,6 @@ class EllipticPoint:
     def infinity(cls) -> "EllipticPoint":
         return cls(None, None)
 
-    @classmethod
-    def affine(cls, x, y) -> "EllipticPoint":
-        return cls(x, y)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None

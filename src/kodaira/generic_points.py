@@ -219,6 +219,13 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
     Self-contained: depends only on the certificate contents.  Exact
     certificates are re-verified with exact arithmetic; approximate ones
     at the precision and tolerance their own values carry.
+
+    An ambiguous exclusion counts as not passed, but a ``delta`` (or an
+    offset's on-curve test) in the guard band of
+    :func:`kodaira.scalars.coincide` raises
+    :class:`AmbiguousCoincidenceError` instead of returning False.  Only
+    :func:`kodaira.verifier.verify_claim` escalates precision on that
+    raise; any other caller receives it.
     """
     values = [cert.lam]
     for p in (cert.base_point, cert.delta, *cert.points):

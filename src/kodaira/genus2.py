@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, OffCurveError
 from .scalars import (
@@ -178,7 +177,3 @@ class GenusTwoCurve:
         if p.is_infinity:
             return Fraction(p.infinity_sign)
         return 2 * p.x
-
-    @cached_property
-    def branch_points(self) -> list:
-        return [self.branch_point(+1), self.branch_point(-1)]

@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import SymbolicScalar
+from .symbolic import SymbolicScalar
 
 GAMMA = SymbolicScalar.symbol("gamma")
 R = SymbolicScalar.symbol("r")

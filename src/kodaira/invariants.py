@@ -25,7 +25,8 @@ from functools import cache
 
 from .config_curve import base_genus_from_cover_degree
 from .intersection import GAMMA, R, k_squared, k_squared_closed_form
-from .scalars import SymbolicScalar, format_rational
+from .scalars import format_rational
+from .symbolic import SymbolicScalar
 
 
 class OddFiberParameterError(ValueError):

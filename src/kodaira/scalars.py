@@ -1,16 +1,17 @@
 """Scalar tower underlying all curve arithmetic.
 
-Four kinds of scalar coexist and interoperate:
+Three kinds of scalar coexist and interoperate:
 
 * exact rationals -- plain :class:`fractions.Fraction`;
 * :class:`QuadExt` -- elements ``a + b*sqrt(radicand)`` of a quadratic
   extension of the rationals, in canonical form;
 * :class:`ComplexApprox` -- arbitrary-precision complex numbers (mpmath
-  backed) carrying their working precision and an equality tolerance;
-* :class:`SymbolicScalar` -- rational functions in the formal symbols
-  ``gamma`` (base genus), ``r`` (number of marked points / sections),
-  ``lam`` (curve parameter) and the intersection unknowns ``Rsq``,
-  ``x1``, ``x2``, kept in canonical cancelled form (sympy backed).
+  backed) carrying their working precision and an equality tolerance.
+
+The symbolic kind, rational functions in formal symbols such as
+``gamma`` and ``r``, lives in :mod:`kodaira.symbolic`, the one module
+that imports sympy.  Its names stay importable from here and load it
+on first use.
 
 Exact kinds satisfy the field axioms exactly and compare exactly.
 ComplexApprox satisfies them to within its tolerance, and every
@@ -29,29 +30,20 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-import sympy as sp
 
 DEFAULT_PREC_BITS = 256
 DEFAULT_TOL = 1e-30
 # distances in [tol, COINCIDENCE_GUARD * tol) are neither equal nor distinct
 COINCIDENCE_GUARD = 10
 
-# Formal symbols available to SymbolicScalar (fixed registry).
-SYM_GAMMA = sp.Symbol("gamma")
-SYM_R = sp.Symbol("r")
-SYM_LAM = sp.Symbol("lam")
-SYM_RSQ = sp.Symbol("Rsq")
-SYM_X1 = sp.Symbol("x1")
-SYM_X2 = sp.Symbol("x2")
 
-_SYMBOLS = {
-    "gamma": SYM_GAMMA,
-    "r": SYM_R,
-    "lam": SYM_LAM,
-    "Rsq": SYM_RSQ,
-    "x1": SYM_X1,
-    "x2": SYM_X2,
-}
+def __getattr__(name):
+    # the symbolic names still resolve here, loading kodaira.symbolic (and sympy)
+    if name in ("SymbolicScalar", "symbols") or name.startswith("SYM_"):
+        from . import symbolic
+
+        return getattr(symbolic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotRepresentable:
@@ -410,125 +402,6 @@ class ComplexApprox:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic rational functions
-# ---------------------------------------------------------------------------
-
-
-def _to_sympy(value):
-    if isinstance(value, SymbolicScalar):
-        return value.expr
-    if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
-    if isinstance(value, int):
-        return sp.Integer(value)
-    if isinstance(value, sp.Expr):
-        return value
-    raise TypeError(f"cannot interpret {type(value).__name__} as a symbolic scalar")
-
-
-class SymbolicScalar:
-    """Rational function in the fixed formal symbols, canonically cancelled.
-
-    Canonical form: ``cancel`` of the expression, i.e. expanded numerator
-    and denominator with their polynomial gcd removed and a normalised
-    leading sign.  Equality of canonical forms is decidable and is what
-    every symbolic identity check in the package uses.
-    """
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        object.__setattr__(self, "expr", sp.cancel(sp.together(_to_sympy(expr))))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SymbolicScalar is immutable")
-
-    @classmethod
-    def symbol(cls, name: str) -> "SymbolicScalar":
-        return cls(_SYMBOLS[name])
-
-    def _binary(self, other, op):
-        try:
-            o = _to_sympy(other)
-        except TypeError:
-            return NotImplemented
-        return SymbolicScalar(op(self.expr, o))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _to_sympy(other)
-        if o == 0:
-            raise ZeroDivisionError("division by zero")
-        return SymbolicScalar(self.expr / o)
-
-    def __rtruediv__(self, other):
-        if self.expr == 0:
-            raise ZeroDivisionError("division by zero")
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return SymbolicScalar(-self.expr)
-
-    def __pow__(self, n: int):
-        return SymbolicScalar(self.expr ** n)
-
-    def __eq__(self, other):
-        try:
-            o = _to_sympy(other)
-        except TypeError:
-            return NotImplemented
-        return sp.cancel(self.expr - o) == 0
-
-    def __hash__(self):
-        return hash(self.expr)
-
-    def is_zero(self) -> bool:
-        return self.expr == 0
-
-    def free_symbol_names(self) -> set:
-        return {s.name for s in self.expr.free_symbols}
-
-    def substitute(self, assignments: dict) -> "SymbolicScalar":
-        """Substitute ``{symbol name: exact value or SymbolicScalar}``."""
-        subs = {_SYMBOLS[name]: _to_sympy(val) for name, val in assignments.items()}
-        return SymbolicScalar(self.expr.subs(subs, simultaneous=True))
-
-    def as_fraction(self) -> Fraction:
-        """Exact rational value of a constant expression."""
-        v = sp.nsimplify(self.expr)
-        if not v.is_Rational:
-            raise ValueError(f"not a constant rational: {self.expr}")
-        return Fraction(int(v.p), int(v.q))
-
-    def __repr__(self):
-        return f"SymbolicScalar({self.expr})"
-
-    def __str__(self):
-        return str(self.expr)
-
-
-def symbols(*names: str):
-    """Convenience constructor: ``gamma, r = symbols('gamma', 'r')``."""
-    made = tuple(SymbolicScalar.symbol(n) for n in names)
-    return made[0] if len(made) == 1 else made
-
-
-# ---------------------------------------------------------------------------
 # Square roots inside the exact tower
 # ---------------------------------------------------------------------------
 
@@ -574,10 +447,6 @@ def sqrt_in_tower(x, radicand=None):
 # Kind-aware helpers used throughout the curve layers
 # ---------------------------------------------------------------------------
 
-ExactScalar = Union[int, Fraction, QuadExt]
-Scalar = Union[int, Fraction, QuadExt, ComplexApprox, SymbolicScalar]
-
-
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QuadExt))
 
@@ -594,8 +463,6 @@ def as_approx(x, prec: int = DEFAULT_PREC_BITS, tol: float = DEFAULT_TOL) -> Com
 
 def scalar_is_zero(x) -> bool:
     if isinstance(x, ComplexApprox):
-        return x.is_zero()
-    if isinstance(x, SymbolicScalar):
         return x.is_zero()
     return x == 0
 
@@ -645,6 +512,8 @@ def scalar_to_json(x):
                 "prec": x.prec,
                 "tol": repr(x.tol),
             }
+    from .symbolic import SymbolicScalar
+
     if isinstance(x, SymbolicScalar):
         return {"kind": "symbolic", "value": str(x.expr)}
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
@@ -665,5 +534,7 @@ def scalar_from_json(obj):
             obj["re"], obj["im"], int(obj["prec"]), float(obj["tol"])
         )
     if kind == "symbolic":
-        return SymbolicScalar(sp.sympify(obj["value"], locals=_SYMBOLS))
+        from .symbolic import from_string
+
+        return from_string(obj["value"])
     raise ValueError(f"unknown scalar kind {kind!r}")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kodaira.config_curve import (
     AmbiguousCoincidenceError,
@@ -421,3 +421,61 @@ def test_complex_parameter_enumeration():
     cert = find_generic_points(curve.elliptic_quotient(), 2)
     cc = ConfigurationCurve(curve, cert.offsets())
     assert len(cc.branch_points()) == 4
+
+
+# -- one fiber per later slot ------------------------------------------------------
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=50)
+_I = ComplexApprox.of(1j)
+
+
+@st.composite
+def _coordinates(draw):
+    """``(x, y)`` of one kind: Fraction, QuadExt over Q(sqrt 2) or ComplexApprox."""
+    kind = draw(st.sampled_from(("rational", "quadext", "complex")))
+    a, b, c, d = (draw(_RATIONALS) for _ in range(4))
+    if kind == "rational":
+        return a, b
+    if kind == "quadext":
+        return quadext(a, b or 1, 2), quadext(c, d, 2)
+    return ComplexApprox.of(a) + _I * b, ComplexApprox.of(c) + _I * d
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coordinates())
+def test_both_first_choices_have_one_cover_image(xy):
+    # projection_fiber builds the later slots from cover(p1_choices[0]) alone;
+    # that is sound because (x, y) and (-x, y) have representation-equal
+    # images in every kind, ComplexApprox included
+    x, y = xy
+    denominator = x * x + 1
+    assume(not as_approx(denominator).abs_value() < 1e-3)
+    lam = (y * y - x * x * x * x * x * x) / denominator
+    assume(not as_approx(lam).abs_value() < 1e-3
+           and not as_approx(lam - Fraction(-27, 4)).abs_value() < 1e-3)
+    curve = GenusTwoCurve(lam)
+    assert curve.cover(GenusTwoPoint.affine(x, y)) == curve.cover(GenusTwoPoint.affine(-x, y))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), ComplexApprox.from_re_im_strings("0.3", "0.7")])
+def test_branch_points_build_each_slot_fiber_once(lam, monkeypatch):
+    # per critical point, one fiber and one add for slot 1 and for each of
+    # the r-2 middle slots: 2*(r-1) of each at r=8, not one per first choice
+    curve = GenusTwoCurve(lam)
+    elliptic = curve.elliptic_quotient()
+    cc = ConfigurationCurve(curve, find_generic_points(elliptic, 8).offsets())
+    calls = {"fiber": 0, "add": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(GenusTwoCurve, "fiber")
+    counting(type(elliptic), "add")
+    assert len(cc.branch_points()) == 2 ** 8
+    assert calls == {"fiber": 14, "add": 14}

@@ -275,3 +275,21 @@ def test_one_tuple_enumerator():
     assert [c for c in calls if c[0] in ("product", "combinations") and c not in allowed] == []
     assert not any(isinstance(node, ast.ImportFrom) and node.module == "itertools"
                    for node, _ in _nodes_in_functions(path))
+
+
+def _imported_modules(path: Path) -> set:
+    """Top-level package names a source file imports, at any depth."""
+    found = set()
+    for node, _ in _nodes_in_functions(path):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_symbolic_module_imports_sympy():
+    # the numeric pipeline runs without sympy; a new import of it elsewhere
+    # would load it into every verify run and CLI call again
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "sympy" in _imported_modules(p)] == ["symbolic.py"]

@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from kodaira.elliptic import EllipticCurve, EllipticPoint
 from kodaira.generic_points import (
@@ -11,7 +12,7 @@ from kodaira.generic_points import (
     find_rational_point,
     verify_certificate,
 )
-from kodaira.scalars import ComplexApprox
+from kodaira.scalars import AmbiguousCoincidenceError, ComplexApprox
 
 
 @pytest.fixture
@@ -67,12 +68,37 @@ def test_certificate_verifies_and_mutations_fail(curve1):
     assert not verify_certificate(mutated)
 
 
-def test_certificate_is_self_contained(curve1):
-    cert = find_generic_points(curve1, 3)
-    round_tripped = GenericityCertificate.from_json(cert.to_json())
-    assert verify_certificate(round_tripped)
+_RATIONAL_LAMBDA = st.fractions(-20, 20, max_denominator=10).filter(
+    lambda q: q not in (0, Fraction(-27, 4)))
+
+
+@st.composite
+def _lambda_and_bound(draw):
+    """A rational, a quadratic or a complex lambda, with its search bound."""
+    kind = draw(st.sampled_from(("rational", "quadratic", "complex")))
+    if kind == "rational":
+        return draw(_RATIONAL_LAMBDA), 30
+    if kind == "quadratic":
+        # bound 0 skips the rational search: the base is (0, sqrt(lam)), and
+        # the offsets' y coordinates lie in Q(sqrt(lam))
+        return Fraction(draw(st.sampled_from((2, 3, 5, 6, 7, -1, -2)))), 0
+    re, im = draw(_RATIONAL_LAMBDA), draw(_RATIONAL_LAMBDA)
+    return ComplexApprox.of(re) + ComplexApprox.of(1j) * im, 30
+
+
+@settings(max_examples=15, deadline=None)
+@given(_lambda_and_bound(), st.integers(2, 5))
+def test_certificate_is_self_contained(lam_and_bound, r):
+    lam, bound = lam_and_bound
+    try:
+        cert = find_generic_points(EllipticCurve(lam), r, bound=bound)
+    except SearchExhausted:
+        reject()  # e.g. lam = -8: its smallest rational point and (0, sqrt(lam)) are torsion
+    text = cert.to_json()
+    round_tripped = GenericityCertificate.from_json(text)
+    assert round_tripped.to_json() == text
     assert round_tripped.points == cert.points
-    assert round_tripped.to_json() == cert.to_json()
+    assert verify_certificate(round_tripped)
 
 
 def test_large_r_exact_within_budget(curve1):
@@ -116,6 +142,17 @@ def test_certificate_reverifies_at_its_own_tolerance():
     shift = ComplexApprox.of(Fraction(1, 10 ** 35), tol=tol)
     cert.delta = EllipticPoint(cert.delta.x + shift, cert.delta.y)
     assert not verify_certificate(cert)
+
+
+def test_ambiguous_delta_match_raises():
+    # verify_certificate has no escalation of its own: a delta moved into the
+    # guard band [tol, 10*tol) is neither a match nor a mismatch
+    lam = ComplexApprox.from_re_im_strings("0.3", "0.7")
+    cert = find_generic_points(EllipticCurve(lam), 3)
+    shift = ComplexApprox.of(3 * Fraction(lam.tol))
+    cert.delta = EllipticPoint(cert.delta.x + shift, cert.delta.y)
+    with pytest.raises(AmbiguousCoincidenceError):
+        verify_certificate(cert)
 
 
 def test_rational_strategy_exhaustion():
