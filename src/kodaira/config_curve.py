@@ -19,6 +19,17 @@ whole enumeration and two tuples differ at the first slot where their
 choices differ.  So the tuples are pairwise distinct once the two points
 of every two-point slot fiber are certified distinct: one decision per
 slot, made on the points in the coordinate kind the tuples carry.
+
+Membership and rank are checked tuple by tuple, but the tuples of one
+enumeration share their point objects: a fiber of ``2^(r-1)`` tuples holds
+``O(r)`` points and ``O(r^2)`` slot pairs.  So :meth:`~ConfigurationCurve.contains`
+and :meth:`~ConfigurationCurve.jacobian` look every decision up in a memo
+scoped to one enumeration (:class:`_Decisions`), which makes it on first
+use: on-curve per point, the expected image ``cover(p_1) + e_i`` per
+``(i, p_1)``, the cover condition per ``(i, p_1, p_i)``, distinctness per
+slot-ordered pair ``(p_i, p_j)``, the cover derivative and its zero test
+per point, and the branch sign per last coordinate.  Every tuple is still
+walked coordinate by coordinate, so a wrongly assembled tuple still fails.
 """
 
 from __future__ import annotations
@@ -40,6 +51,8 @@ from .scalars import (
     scalar_is_zero,
     scalar_to_json,
 )
+
+_ZERO = Fraction(0)  # the vanishing Jacobian entries share one value
 
 
 class MixedKindError(ValueError):
@@ -198,29 +211,32 @@ class ConfigurationCurve:
 
     # -- membership ---------------------------------------------------------------
 
-    def contains(self, tup: ConfigTuple) -> bool:
+    def contains(self, tup: ConfigTuple, decisions: "_Decisions" = None) -> bool:
         """Full membership test: on-curve, cover conditions, distinctness.
 
         Mixed exact/approximate coordinate kinds are rejected outright.
+        Each decision is looked up in ``decisions``, the memo of the
+        enumeration ``tup`` belongs to, and made there once: on-curve per
+        point, the expected image ``cover(p_1) + e_i`` per ``(i, p_1)``, the
+        cover condition per ``(i, p_1, p_i)`` and distinctness per
+        slot-ordered pair ``(p_i, p_j)``, ``i < j``.  Distinctness is
+        decided per slot pair, not assumed from the genericity certificate
+        (whose offsets make the images ``cover(p_1) + e_i`` pairwise
+        distinct): a tuple that repeats a point must fail here.  Without a
+        memo the call makes its own, so one call decides everything once.
         """
         if len(tup) != self.r:
             return False
         if not tup.kinds_uniform():
             raise MixedKindError("tuple mixes exact and approximate coordinates")
-        for p in tup:
-            if not self.curve.contains(p):
-                return False
-        base_image = self.curve.cover(tup[0])
-        for i, e in enumerate(self.offsets, start=2):
-            expected = self.elliptic.add(base_image, e)
-            got = self.curve.cover(tup[i - 1])
-            if not points_equal(got, expected, "membership-cover-condition"):
-                return False
+        known = _Decisions(self) if decisions is None else decisions
+        if not all(known.on_curve(p) for p in tup):
+            return False
+        p1 = tup[0]
+        if not all(known.covers(i, p1, p) for i, p in enumerate(tup.points[1:], start=2)):
+            return False
         # tuples with two coincident coordinates are excluded by definition
-        for i, j in itertools.combinations(range(self.r), 2):
-            if genus2_points_equal(tup[i], tup[j], "membership-distinctness"):
-                return False
-        return True
+        return not any(known.coincide(p, q) for p, q in itertools.combinations(tup, 2))
 
     # -- fibers over the first coordinate ------------------------------------------
 
@@ -230,7 +246,7 @@ class ConfigurationCurve:
 
     # -- Jacobian and rank -----------------------------------------------------------
 
-    def jacobian(self, tup: ConfigTuple) -> JacobianReport:
+    def jacobian(self, tup: ConfigTuple, decisions: "_Decisions" = None) -> JacobianReport:
         """The (r-1) x r Jacobian of the defining map at a member tuple.
 
         Row ``i-1`` expresses the condition on slot ``i``: its first
@@ -238,13 +254,17 @@ class ConfigurationCurve:
         ``d(cover)/dx`` at ``p_i`` (value ``2x`` in the affine chart, a
         unit at the chart boundary); all other entries vanish.  The rank
         of this arrowhead is counted structurally by :func:`arrowhead_rank`,
-        for exact and approximate tuples alike.
+        for exact and approximate tuples alike.  The derivative and its
+        zero test are decided once per point, and the entry ``-d_1`` once
+        per ``p_1``, in ``decisions`` as in :meth:`contains`.
         """
+        known = _Decisions(self) if decisions is None else decisions
         r = self.r
-        derivs = [self.curve.cover_derivative(p) for p in tup]
-        matrix = [[-derivs[0]] + [derivs[i] if k == i else Fraction(0) for k in range(1, r)]
+        derivs = [known.derivative(p) for p in tup]
+        first = known.negated_derivative(tup[0])
+        matrix = [[first] + [derivs[i] if k == i else _ZERO for k in range(1, r)]
                   for i in range(1, r)]
-        rank = arrowhead_rank(derivs)
+        rank = arrowhead_rank(derivs, known.is_zero)
         return JacobianReport(matrix, rank, full_rank=(rank == r - 1))
 
     # -- branch points of the forget-last-coordinate tower ------------------------------
@@ -421,13 +441,84 @@ def sample_genus2_point(curve: GenusTwoCurve, rng) -> GenusTwoPoint:
     return GenusTwoPoint.affine(x, y)
 
 
-def arrowhead_rank(derivs: list) -> int:
+def arrowhead_rank(derivs: list, is_zero=scalar_is_zero) -> int:
     """Rank of the Jacobian arrowhead built from cover derivatives ``d_1..d_r``.
 
     Row ``i`` is ``-d_1`` in column 1 and ``d_i`` in column ``i``.  The
     ``n`` rows with ``d_i != 0`` have distinct pivots, and the remaining
     rows are multiples of the first unit vector, which adds one dimension
-    iff ``d_1 != 0``.  Each zero test is :func:`scalar_is_zero`.
+    iff ``d_1 != 0``.  Each zero test is ``is_zero``, by default
+    :func:`scalar_is_zero`.
     """
-    n = sum(1 for d in derivs[1:] if not scalar_is_zero(d))
-    return n + int(n < len(derivs) - 1 and not scalar_is_zero(derivs[0]))
+    n = sum(1 for d in derivs[1:] if not is_zero(d))
+    return n + int(n < len(derivs) - 1 and not is_zero(derivs[0]))
+
+
+class _Decisions:
+    """The decisions about the points of one enumeration, each made once.
+
+    Keyed by the ``id()`` of the points (and scalars) decided on; every
+    entry keeps those objects, so an id cannot be reused while the memo
+    lives.  A decision that raises is not stored: the check that made it
+    is abandoned and its memo with it.  One memo serves one enumeration --
+    a :meth:`ConfigurationCurve.fiber_over_first` list or a
+    :meth:`ConfigurationCurve.branch_points` list -- and is dropped with it.
+    """
+
+    def __init__(self, config: ConfigurationCurve):
+        self.curve = config.curve
+        self.elliptic = config.elliptic
+        self.offsets = config.offsets
+        self._memo = {}
+
+    def _once(self, key, decide, *args):
+        """``decide(*args)``, made on the first call for ``key`` and kept with ``args``."""
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = (decide(*args), args)
+        return entry[0]
+
+    def on_curve(self, p: GenusTwoPoint) -> bool:
+        return self._once(("on-curve", id(p)), self.curve.contains, p)
+
+    def cover(self, p: GenusTwoPoint):
+        return self._once(("cover", id(p)), self.curve.cover, p)
+
+    def expected_image(self, i: int, p1: GenusTwoPoint):
+        """``cover(p_1) + e_i``: the image slot ``i`` must have."""
+        return self._once(("image", i, id(p1)), self._expected_image, i, p1)
+
+    def _expected_image(self, i, p1):
+        return self.elliptic.add(self.cover(p1), self.offsets[i - 2])
+
+    def covers(self, i: int, p1: GenusTwoPoint, p: GenusTwoPoint) -> bool:
+        """The cover condition of slot ``i``: ``cover(p) = cover(p_1) + e_i``."""
+        return self._once(("covers", i, id(p1), id(p)), self._covers, i, p1, p)
+
+    def _covers(self, i, p1, p):
+        expected = self.expected_image(i, p1)
+        return points_equal(self.cover(p), expected, "membership-cover-condition")
+
+    def coincide(self, p: GenusTwoPoint, q: GenusTwoPoint) -> bool:
+        """Whether ``p`` and a point ``q`` of a later slot coincide."""
+        return self._once(("coincide", id(p), id(q)), genus2_points_equal,
+                          p, q, "membership-distinctness")
+
+    def derivative(self, p: GenusTwoPoint):
+        return self._once(("derivative", id(p)), self.curve.cover_derivative, p)
+
+    def negated_derivative(self, p: GenusTwoPoint):
+        return self._once(("negated-derivative", id(p)), self._negated_derivative, p)
+
+    def _negated_derivative(self, p):
+        return -self.derivative(p)
+
+    def is_zero(self, d) -> bool:
+        return self._once(("zero", id(d)), scalar_is_zero, d)
+
+    def branch_sign(self, p: GenusTwoPoint) -> int:
+        """``+1`` if ``p`` is the critical point ``(0, +sqrt(lam))``, else ``-1``."""
+        return self._once(("branch-sign", id(p)), self._branch_sign, p)
+
+    def _branch_sign(self, p):
+        return +1 if genus2_points_equal(p, self.curve.branch_point(+1), "branch-sign") else -1

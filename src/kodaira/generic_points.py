@@ -164,21 +164,60 @@ def _base_point_ladder(curve: EllipticCurve, strategy: str, bound: int):
     Rational point of small height first, then the known point
     ``(0, sqrt(lam))`` in the exact tower, finally the same point in
     complex approximation (covers a torsion rational point or torsion
-    multiples of the known point).
+    multiples of the known point).  So an approximate candidate is
+    always the known point; :func:`base_point_at` relies on that.
     """
     if strategy in ("auto", "rational") and isinstance(curve.lam, Fraction):
         found = find_rational_point(curve, bound)
         if found is not None:
-            yield found, "exact"
+            yield found
         if strategy == "rational":
             if found is None:
                 raise SearchExhausted(f"no rational point with height bound {bound}")
             return
     known = curve.branch_image(+1)
-    yield known, ("approximate" if is_approx(known.y) else "exact")
+    yield known
     if not is_approx(known.y):
-        yield EllipticPoint(as_approx(known.x, curve.prec, curve.tol),
-                            as_approx(known.y, curve.prec, curve.tol)), "approximate"
+        yield _lifted(curve, known)
+
+
+def _lifted(curve: EllipticCurve, p: EllipticPoint) -> EllipticPoint:
+    return EllipticPoint(as_approx(p.x, curve.prec, curve.tol),
+                         as_approx(p.y, curve.prec, curve.tol))
+
+
+def base_point_at(curve: EllipticCurve, base: EllipticPoint) -> EllipticPoint:
+    """A certificate's base point re-made on ``curve``, at its precision.
+
+    An exact base is the same point at every precision.  An approximate
+    one is the known point ``(0, sqrt(lam))`` (see the search ladder), so
+    it is recomputed on ``curve`` and lifted there.
+    """
+    if not is_approx(base.y):
+        return base
+    return _lifted(curve, curve.branch_image(+1))
+
+
+def certify_stride(curve: EllipticCurve, r: int, base: EllipticPoint,
+                   stride: int) -> GenericityCertificate:
+    """The offsets ``e_i = [stride * i] base`` with every exclusion decided.
+
+    One step of the search of :func:`find_generic_points`; the returned
+    certificate may fail.  It is ``approximate`` when the base point or
+    ``delta`` carries ComplexApprox coordinates.
+    """
+    delta = curve.delta()
+    mode = "approximate" if is_approx(base.y) or is_approx(delta.x) else "exact"
+    step = curve.multiply(stride, base)
+    points = []
+    current = step  # [stride * 1] base
+    for _ in range(2, r + 1):
+        current = curve.add(current, step)
+        points.append(current)    # e_i = [stride * i] base
+    return GenericityCertificate(
+        lam=curve.lam, r=r, mode=mode, stride=stride, base_point=base, delta=delta,
+        points=points, checks=_run_all_checks(curve, points, delta),
+    )
 
 
 def find_generic_points(curve: EllipticCurve, r: int, strategy: str = "auto",
@@ -193,23 +232,11 @@ def find_generic_points(curve: EllipticCurve, r: int, strategy: str = "auto",
     if r < 2:
         raise ValueError("r must be at least 2")
 
-    delta = curve.delta()
-    for base, base_mode in _base_point_ladder(curve, strategy, bound):
-        mode = "approximate" if (base_mode == "approximate"
-                                 or is_approx(delta.x)) else "exact"
+    for base in _base_point_ladder(curve, strategy, bound):
         for stride in range(1, max_stride + 1):
-            step = curve.multiply(stride, base)
-            points = []
-            current = step  # [stride * 1] base
-            for _ in range(2, r + 1):
-                current = curve.add(current, step)
-                points.append(current)    # e_i = [stride * i] base
-            checks = _run_all_checks(curve, points, delta)
-            if all(c.passed for c in checks):
-                return GenericityCertificate(
-                    lam=curve.lam, r=r, mode=mode, stride=stride,
-                    base_point=base, delta=delta, points=points, checks=checks,
-                )
+            cert = certify_stride(curve, r, base, stride)
+            if cert.all_passed:
+                return cert
     raise SearchExhausted(f"no stride up to {max_stride} passed the exclusions")
 
 

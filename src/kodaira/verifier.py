@@ -11,7 +11,9 @@ Every approximate decision goes through :func:`kodaira.scalars.coincide`.
 One that falls into the ambiguity band (closer than ten tolerances but
 not within one) raises, and :func:`verify_claim` escalates inline: the
 affected check is re-executed from scratch at the next precision of its
-schedule (doubled at each step); if it is still ambiguous at the last
+schedule (doubled at each step), on the same configuration -- the base
+certificate's base point and stride, re-made at that precision and
+re-checked there; if it is still ambiguous at the last
 precision the run fails loudly with a distinct status instead of
 silently merging nearby points.
 """
@@ -23,10 +25,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config_curve import ConfigurationCurve, genus, sample_genus2_point
+from .config_curve import ConfigurationCurve, _Decisions, genus, sample_genus2_point
 from .elliptic import SingularCurveError
-from .generic_points import find_generic_points, verify_certificate
-from .genus2 import GenusTwoCurve, genus2_points_equal
+from .generic_points import (
+    base_point_at,
+    certify_stride,
+    find_generic_points,
+    verify_certificate,
+)
+from .genus2 import GenusTwoCurve
 from .scalars import (
     AmbiguousCoincidenceError,
     ComplexApprox,
@@ -132,15 +139,25 @@ class VerificationRun:
 
 
 class _Context:
-    """Curves and certificate rebuilt from scratch at one precision."""
+    """Curves and certificate built at one precision.
 
-    def __init__(self, lam_spec, r: int, prec: int, tol: float):
+    With a ``base`` context the offsets are not searched for again: the
+    base certificate's base point and stride are re-made and re-checked
+    at this precision, so an escalated check sees the same configuration.
+    """
+
+    def __init__(self, lam_spec, r: int, prec: int, tol: float, base: "_Context" = None):
         self.prec = prec
         self.tol = tol
         lam = lambda_at(lam_spec, prec, tol)
         self.curve = GenusTwoCurve(lam, prec, tol)
         self.elliptic = self.curve.elliptic_quotient()
-        self.certificate = find_generic_points(self.elliptic, r)
+        if base is None:
+            self.certificate = find_generic_points(self.elliptic, r)
+        else:
+            found = base.certificate
+            self.certificate = certify_stride(
+                self.elliptic, r, base_point_at(self.elliptic, found.base_point), found.stride)
         self.config = ConfigurationCurve(self.curve, self.certificate.offsets())
 
 
@@ -170,9 +187,11 @@ def _check_membership_and_rank(ctx: _Context, run: VerificationRun, tally: Check
         p1 = sample_genus2_point(ctx.curve, rng)
         if p1 is None:
             continue
-        for tup in config.fiber_over_first(p1):
-            ok_member = config.contains(tup)
-            report = config.jacobian(tup)
+        fiber = config.fiber_over_first(p1)
+        decisions = _Decisions(config)  # scoped to this fiber
+        for tup in fiber:
+            ok_member = config.contains(tup, decisions)
+            report = config.jacobian(tup, decisions)
             ok_rank = report.rank == want_rank
             tally.record(ok_member and ok_rank)
             if not (ok_member and ok_rank):
@@ -194,6 +213,7 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
     config = ctx.config
     r = config.r
     points = run.branch_points = config.branch_points()
+    decisions = _Decisions(config)  # scoped to this enumeration
     expected = 2 ** r
     ok_count = len(points) == expected
     tally.record(ok_count)
@@ -203,8 +223,7 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
     half = expected // 2
     split = {+1: 0, -1: 0}
     for tup in points:
-        sign = _branch_sign(ctx, tup[-1])
-        split[sign] += 1
+        split[decisions.branch_sign(tup[-1])] += 1
     ok_split = split[+1] == half and split[-1] == half
     tally.record(ok_split)
     tally.info["split"] = {"+1": split[+1], "-1": split[-1]}
@@ -218,15 +237,11 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
         })
     # every branch point is a smooth member
     for tup in points:
-        ok = config.contains(tup) and config.jacobian(tup).rank == r - 1
+        ok = config.contains(tup, decisions) and config.jacobian(tup, decisions).rank == r - 1
         tally.record(ok)
         if not ok:
             run.counterexamples.append({"check": "branch_membership",
                                         "tuple": tup.to_json_dict()})
-
-
-def _branch_sign(ctx: _Context, point) -> int:
-    return +1 if genus2_points_equal(point, ctx.curve.branch_point(+1), "branch-sign") else -1
 
 
 def _check_projection_degrees(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):
@@ -297,7 +312,7 @@ def verify_claim(lam_spec, r: int, samples: int = 50, seed: int = 0,
         while True:
             level_prec = schedule[level]
             if level_prec not in contexts:
-                contexts[level_prec] = _Context(lam_spec, r, level_prec, tol)
+                contexts[level_prec] = _Context(lam_spec, r, level_prec, tol, base_ctx)
             ctx = contexts[level_prec]
             rng = random.Random(seed * 1_000_003 + index)
             tally = CheckTally(escalated=escalated)

@@ -28,6 +28,7 @@ from kodaira.intersection import (
 )
 from kodaira.invariants import invariant_report, slope, slope_closed_form, slope_table
 from kodaira.scalars import ComplexApprox, SymbolicScalar
+from kodaira.verifier import verify_claim
 
 import random
 
@@ -176,3 +177,15 @@ def test_criterion_10_determinism(capsys):
     ok = ok and first.encode() == second.encode()
     ok = ok and json.loads(first)["status"] == "pass"
     _report(10, "byte-identical verification reports at fixed seed", ok)
+
+
+def test_criterion_11_paper_regime_at_default_samples():
+    # r = 8 is the first r inside the construction's hypotheses; the budget
+    # is for two cores, where the whole run takes about 2.5 s
+    start = time.perf_counter()
+    run = verify_claim("1/1", 8)
+    elapsed = time.perf_counter() - start
+    ok = run.passed and run.sample_count == 50
+    ok = ok and run.tallies["membership_and_rank"].checked == 50 * 2 ** 7
+    _report(11, "verify_claim at r = 8, default samples, inside 20 s",
+            ok and elapsed < 20.0)

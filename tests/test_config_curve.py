@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from kodaira import config_curve
 from kodaira.config_curve import (
     AmbiguousCoincidenceError,
     ConfigTuple,
     ConfigurationCurve,
     MixedKindError,
+    _Decisions,
     arrowhead_rank,
     base_genus_from_cover_degree,
     genus,
@@ -18,7 +21,7 @@ from kodaira.config_curve import (
     tower_genus_closed_form,
     tower_genus_recursion,
 )
-from kodaira.elliptic import points_equal
+from kodaira.elliptic import EllipticCurve, points_equal
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
 from kodaira.scalars import ComplexApprox, QuadExt, as_approx, quadext
@@ -479,3 +482,105 @@ def test_branch_points_build_each_slot_fiber_once(lam, monkeypatch):
     counting(type(elliptic), "add")
     assert len(cc.branch_points()) == 2 ** 8
     assert calls == {"fiber": 14, "add": 14}
+
+
+# -- decisions made once per enumeration -----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def warm_r8():
+    """An r=8 fiber whose tuples all passed ``contains`` through one memo.
+
+    Also returns a second fiber, over another sampled first coordinate."""
+    curve = GenusTwoCurve(Fraction(1))
+    cc = ConfigurationCurve(curve, find_generic_points(curve.elliptic_quotient(), 8).offsets())
+    rng = random.Random(8)
+    fibers = []
+    while len(fibers) < 2:
+        p1 = sample_genus2_point(curve, rng)
+        if p1 is not None:
+            fibers.append(cc.fiber_over_first(p1))
+    fiber, other = fibers
+    decisions = _Decisions(cc)
+    assert all(cc.contains(tup, decisions) for tup in fiber)
+    return cc, fiber, other, decisions
+
+
+def _mutated(tup, slot, point):
+    points = list(tup.points)
+    points[slot] = point
+    return ConfigTuple(tuple(points))
+
+
+def test_warm_memo_rejects_another_fibers_point(warm_r8):
+    cc, fiber, other, decisions = warm_r8
+    for slot in range(1, cc.r):
+        assert not cc.contains(_mutated(fiber[-1], slot, other[0][slot]), decisions)
+
+
+def test_warm_memo_rejects_a_repeated_point(warm_r8):
+    # every slot pair, including the pairs the certificate keeps apart
+    cc, fiber, other, decisions = warm_r8
+    tup = fiber[5]
+    for i, j in itertools.combinations(range(cc.r), 2):
+        assert not cc.contains(_mutated(tup, j, tup[i]), decisions)
+
+
+def test_warm_memo_rejects_an_off_curve_point(warm_r8):
+    cc, fiber, other, decisions = warm_r8
+    for slot in range(cc.r):
+        p = fiber[3][slot]
+        assert not cc.contains(_mutated(fiber[3], slot, GenusTwoPoint.affine(p.x, p.y + 1)),
+                               decisions)
+    assert all(cc.contains(tup, decisions) for tup in fiber)
+
+
+def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
+    # per fiber of 2^(r-1) tuples: r-1 expected images (one add each) and
+    # at most 4 decisions per slot pair, against (r-1) adds and C(r, 2)
+    # comparisons per tuple when every tuple is decided from scratch
+    cc, fiber, other, _ = warm_r8
+    r = cc.r
+    calls = {"add": 0, "distinct": 0, "on-curve": 0}
+    add, contains = EllipticCurve.add, GenusTwoCurve.contains
+    equal = config_curve.genus2_points_equal
+
+    def counted_add(*args):
+        calls["add"] += 1
+        return add(*args)
+
+    def counted_equal(p, q, check_name):
+        calls["distinct"] += check_name == "membership-distinctness"
+        return equal(p, q, check_name)
+
+    def counted_contains(*args):
+        calls["on-curve"] += 1
+        return contains(*args)
+
+    monkeypatch.setattr(EllipticCurve, "add", counted_add)
+    monkeypatch.setattr(config_curve, "genus2_points_equal", counted_equal)
+    monkeypatch.setattr(GenusTwoCurve, "contains", counted_contains)
+    decisions = _Decisions(cc)
+    assert all(cc.contains(tup, decisions) for tup in other)
+    assert calls["add"] <= 2 * (r - 1)
+    assert calls["distinct"] <= 4 * (r * (r - 1) // 2)
+    # per distinct point: the on-curve decision and the check inside cover()
+    assert calls["on-curve"] <= 2 * (1 + 2 * (r - 1))
+
+
+def test_distinctness_is_decided_not_assumed():
+    # a repeated offset (which a certificate excludes) makes slots 2 and 3
+    # share their fiber: half the tuples pass every cover condition and
+    # still repeat a point, and only the per-pair decision rejects them
+    curve = GenusTwoCurve(Fraction(1))
+    e2 = find_generic_points(curve.elliptic_quotient(), 2).offsets()[0]
+    cc = ConfigurationCurve(curve, [e2, e2])
+    rng = random.Random(4)
+    p1 = None
+    while p1 is None:
+        p1 = sample_genus2_point(curve, rng)
+    fiber = cc.fiber_over_first(p1)
+    decisions = _Decisions(cc)
+    members = [cc.contains(tup, decisions) for tup in fiber]
+    assert members == [tup[1].x.distance(tup[2].x) > 1e-20 for tup in fiber]
+    assert members.count(False) == 2

@@ -12,14 +12,13 @@ import contextlib
 import io
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kodaira.cli import EXIT_OK, EXIT_PRECISION_EXHAUSTED, EXIT_USAGE, main
-from kodaira.config_curve import ConfigTuple, ConfigurationCurve
+from kodaira.config_curve import ConfigTuple, ConfigurationCurve, _Decisions
 from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint
 from kodaira.generic_points import _exclusion_checks, find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
@@ -31,7 +30,6 @@ from kodaira.scalars import (
     as_approx,
     coincide,
 )
-from kodaira.verifier import _branch_sign
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kodaira"
 
@@ -158,23 +156,20 @@ def near_branch_point(gap: float) -> GenusTwoPoint:
     return GenusTwoPoint.affine(x, X1.rhs(x).sqrt())
 
 
-CTX = SimpleNamespace(curve=X1)
-
-
 @given(BELOW)
 def test_branch_sign_below_band_is_plus(gap):
-    assert _branch_sign(CTX, near_branch_point(gap)) == +1
+    assert _Decisions(CC2).branch_sign(near_branch_point(gap)) == +1
 
 
 @given(BAND)
 def test_branch_sign_inside_band_raises(gap):
     with pytest.raises(AmbiguousCoincidenceError):
-        _branch_sign(CTX, near_branch_point(gap))
+        _Decisions(CC2).branch_sign(near_branch_point(gap))
 
 
 @given(ABOVE)
 def test_branch_sign_above_band_is_minus(gap):
-    assert _branch_sign(CTX, near_branch_point(gap)) == -1
+    assert _Decisions(CC2).branch_sign(near_branch_point(gap)) == -1
 
 
 # -- genericity: an ambiguous exclusion does not pass ------------------------------------

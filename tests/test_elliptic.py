@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kodaira.elliptic import (
     EC_INFINITY,
@@ -11,7 +12,7 @@ from kodaira.elliptic import (
     SingularCurveError,
     points_equal,
 )
-from kodaira.scalars import ComplexApprox, quadext
+from kodaira.scalars import ComplexApprox, QuadExt, quadext
 
 
 @pytest.fixture
@@ -156,3 +157,75 @@ def test_every_operation_lands_on_curve(curve1, base_point):
         assert curve1.contains(q)
         p = curve1.add(p, q)
         assert curve1.contains(p)
+
+
+# -- group-law axioms over Q(sqrt lam) and ComplexApprox ------------------------------
+
+
+def _assert_group_axioms(curve, a, b, c):
+    add = curve.add
+    assert points_equal(add(add(a, b), c), add(a, add(b, c)))
+    assert points_equal(add(a, b), add(b, a))
+    assert add(a, curve.neg(a)).is_infinity
+    assert points_equal(add(a, EC_INFINITY), a)
+    assert curve.contains(add(a, b))
+
+
+# non-square rationals, with their smallest rational point where one exists
+_NON_SQUARE = {
+    Fraction(2): None,
+    Fraction(7): None,
+    Fraction(5): EllipticPoint(Fraction(4, 9), Fraction(73, 27)),
+    Fraction(-3): EllipticPoint(Fraction(4), Fraction(7)),
+    Fraction(3, 2): EllipticPoint(Fraction(1), Fraction(2)),
+}
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def _quadratic_points(draw):
+    """A curve with non-square rational lam and three points over Q(sqrt lam).
+
+    Each point is ``m*(0, sqrt lam) + n*P`` for small m, n and the
+    rational point P (if there is one)."""
+    lam = draw(st.sampled_from(sorted(_NON_SQUARE)))
+    curve = EllipticCurve(lam)
+    root_image, rational = curve.branch_image(+1), _NON_SQUARE[lam]
+    points = []
+    for _ in range(3):
+        point = curve.multiply(draw(_SMALL), root_image)
+        if rational is not None:
+            point = curve.add(point, curve.multiply(draw(_SMALL), rational))
+        points.append(point)
+    return curve, points
+
+
+@settings(max_examples=20, deadline=None)
+@given(_quadratic_points())
+def test_group_axioms_over_quadratic_extension(drawn):
+    curve, (a, b, c) = drawn
+    assert isinstance(curve.branch_image(+1).y, QuadExt)
+    _assert_group_axioms(curve, a, b, c)
+
+
+_GRID = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+_I = ComplexApprox.of(1j)
+
+
+@st.composite
+def _complex_points(draw):
+    """A complex lam and three points with random x and ``y = sqrt(rhs(x))``."""
+    lam = ComplexApprox.of(draw(_GRID)) + _I * draw(_GRID.filter(bool))
+    curve = EllipticCurve(lam)
+    points = []
+    for _ in range(3):
+        x = ComplexApprox.of(draw(_GRID)) + _I * draw(_GRID)
+        points.append(EllipticPoint(x, curve.rhs(x).sqrt()))
+    return curve, points
+
+
+@settings(max_examples=25, deadline=None)
+@given(_complex_points())
+def test_group_axioms_over_complex_approx(drawn):
+    curve, (a, b, c) = drawn
+    _assert_group_axioms(curve, a, b, c)

@@ -1,9 +1,18 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import kodaira.verifier as verifier_module
-from kodaira.config_curve import AmbiguousCoincidenceError
+from kodaira.config_curve import (
+    AmbiguousCoincidenceError,
+    ConfigTuple,
+    ConfigurationCurve,
+    _Decisions,
+)
+from kodaira.elliptic import points_equal
+from kodaira.scalars import DEFAULT_PREC_BITS
 from kodaira.verifier import (
     PrecisionExhausted,
     lambda_at,
@@ -137,3 +146,79 @@ def test_exact_and_numeric_counts_agree():
     assert run.tallies["genus"].info["recursion"] == \
         run.tallies["genus"].info["closed_form"]
     assert run.tallies["projection_degrees"].info["expected"] == 2 ** 2
+
+
+def test_escalation_rechecks_the_base_configuration(monkeypatch):
+    # genericity is ambiguous at the base precision for a complex lambda;
+    # the escalated check gets the base certificate's stride and offsets,
+    # re-made at doubled precision, and no second search
+    certificates, searches = [], []
+    verify, search = verifier_module.verify_certificate, verifier_module.find_generic_points
+
+    def ambiguous_at_base(cert):
+        certificates.append(cert)
+        if cert.points[0].x.prec == DEFAULT_PREC_BITS:
+            raise AmbiguousCoincidenceError("forced", check_name="test",
+                                            distance=0.0, tol=cert.points[0].x.tol)
+        return verify(cert)
+
+    def counted_search(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(verifier_module, "verify_certificate", ambiguous_at_base)
+    monkeypatch.setattr(verifier_module, "find_generic_points", counted_search)
+    run = verify_claim("0.5,0.25", 3, samples=2, seed=0)
+    assert run.passed
+    assert [e["check"] for e in run.escalations] == ["genericity"]
+    base, escalated = certificates
+    assert len(searches) == 1
+    assert escalated.points[0].x.prec == 2 * DEFAULT_PREC_BITS
+    assert escalated.stride == base.stride == run.tallies["genericity"].info["stride"]
+    assert escalated.mode == base.mode == "approximate"
+    assert all(points_equal(p, q, "test") for p, q in
+               zip([base.base_point, *base.points], [escalated.base_point, *escalated.points]))
+
+
+def test_mutated_branch_tuple_is_recorded_as_a_failure(monkeypatch):
+    # the last of the 2^r branch tuples takes slot 2 from the first tuple,
+    # whose first coordinate differs: the memo, warm from 255 members,
+    # must still decide the mutant's cover condition
+    original = ConfigurationCurve.branch_points
+    mutants = []
+
+    def one_mutated(self):
+        points = original(self)
+        last = list(points[-1].points)
+        last[1] = points[0][1]
+        mutants.append(ConfigTuple(tuple(last)))
+        return points[:-1] + mutants[-1:]
+
+    monkeypatch.setattr(ConfigurationCurve, "branch_points", one_mutated)
+    run = verify_claim("1/1", 8, samples=0)
+    tally = run.tallies["branch_count"]
+    assert run.status == "fail"
+    assert tally.failed == 1 and tally.checked == 2 + 2 ** 8
+    assert run.counterexamples == [{"check": "branch_membership",
+                                    "tuple": mutants[0].to_json_dict()}]
+
+
+def test_no_decision_memo_outlives_its_enumeration(monkeypatch):
+    # while a memo is made, only the previous enumeration's may be alive
+    # (its name is rebound after the call); after the run, none is
+    made, alive = [], []
+    init = _Decisions.__init__
+
+    def recorded(self, config):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        init(self, config)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Decisions, "__init__", recorded)
+    runs = [verify_claim(lam, 4, samples=3, seed=0) for lam in ("1/1", "0.3,0.7")]
+    assert all(run.passed for run in runs)
+    gc.collect()
+    assert len(made) >= 4  # a fiber per accepted draw and the branch list, per run
+    assert max(alive) <= 1
+    assert [ref() for ref in made] == [None] * len(made)
