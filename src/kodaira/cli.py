@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,24 +52,30 @@ EXIT_PRECISION_EXHAUSTED = 4
 PRECISION_ENV_VAR = "KODAIRA_PRECISION_BITS"
 
 
-def _default_precision() -> int:
-    value = os.environ.get(PRECISION_ENV_VAR)
-    if value is None:
-        return DEFAULT_PREC_BITS
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
+def _positive(convert, what: str):
+    """An argparse ``type=``: ``convert(text)``, which must be finite and positive."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lambda", dest="lam", default="1/1",
                         help="curve parameter: 'num/den' or 're,im' (default 1/1)")
-    common.add_argument("--precision", type=int, default=_default_precision(),
+    # a string default goes through type=, so a bad environment value is a usage error
+    common.add_argument("--precision", type=_positive(int, "positive integer"),
+                        default=os.environ.get(PRECISION_ENV_VAR, str(DEFAULT_PREC_BITS)),
                         help="working precision in bits (default 256, "
                              f"or ${PRECISION_ENV_VAR})")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    common.add_argument("--tol", type=_positive(float, "positive finite number"),
+                        default=DEFAULT_TOL,
                         help="equality tolerance for approximate arithmetic")
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--bound", type=int, default=30,

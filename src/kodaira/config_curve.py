@@ -288,8 +288,7 @@ class ConfigurationCurve:
 
     # -- projection fibers: the one enumeration of tuples ---------------------------
 
-    def projection_fiber(self, j: int, value: GenusTwoPoint,
-                         with_slot_sizes: bool = False):
+    def projection_fiber(self, j: int, value: GenusTwoPoint) -> list:
         """All member tuples whose j-th coordinate equals ``value`` (1-based).
 
         The one enumeration of tuples (see the module docstring).  Slot 1
@@ -298,8 +297,7 @@ class ConfigurationCurve:
         ``i`` the fiber over ``cover(p_1) + e_i``; a slot whose target is a
         branch image has one choice.  The choices ``(+-x, y)`` of slot 1
         share the cover image ``(x^2, y)``, so every later slot fiber is
-        built once.  ``with_slot_sizes`` also returns the number of
-        choices of every slot but ``j``.
+        built once.
         """
         if not 1 <= j <= self.r:
             raise ValueError("projection index out of range")
@@ -314,10 +312,7 @@ class ConfigurationCurve:
             for i, e in enumerate(self.offsets, start=2)])
         for choices in slots:
             self._certify_distinct(choices)
-        tuples = [ConfigTuple(combo) for combo in itertools.product(*slots)]
-        if with_slot_sizes:
-            return tuples, [len(c) for i, c in enumerate(slots, start=1) if i != j]
-        return tuples
+        return [ConfigTuple(combo) for combo in itertools.product(*slots)]
 
     def _uniform(self, slots: list) -> list:
         """Slot choices in the kind their tuples carry: mixed lifts to ComplexApprox.
@@ -343,9 +338,11 @@ class ConfigurationCurve:
 
         Counts the fiber over both cover-critical points and over
         ``samples`` generic points.  A draw is ramified -- and re-drawn --
-        when some *other* slot's elliptic target lands on a branch image
-        (detectable as a one-point slot fiber); the count itself is never
-        used to decide a re-draw.  Returns the common cardinality or
+        when some *other* slot's elliptic target lands on a branch image.
+        That slot's fiber is then the one cover-critical point over it, so
+        the draw is ramified iff the first tuple holds a cover-critical
+        point in a slot other than ``j``; the count itself is never used
+        to decide a re-draw.  Returns the common cardinality or
         raises on disagreement.
         """
         counts = {}
@@ -362,8 +359,9 @@ class ConfigurationCurve:
             pt = sample_genus2_point(self.curve, rng)
             if pt is None:
                 continue
-            fiber, slot_sizes = self.projection_fiber(j, pt, with_slot_sizes=True)
-            if any(size < 2 for size in slot_sizes):
+            fiber = self.projection_fiber(j, pt)
+            if any(self.curve.is_branch_point(p)
+                   for i, p in enumerate(fiber[0], start=1) if i != j):
                 continue  # ramified draw, re-draw
             counts[f"sample{drawn}"] = len(fiber)
             drawn += 1

@@ -5,8 +5,8 @@ Three kinds of scalar coexist and interoperate:
 * exact rationals -- plain :class:`fractions.Fraction`;
 * :class:`QuadExt` -- elements ``a + b*sqrt(radicand)`` of a quadratic
   extension of the rationals, in canonical form;
-* :class:`ComplexApprox` -- arbitrary-precision complex numbers (mpmath
-  backed) carrying their working precision and an equality tolerance.
+* :class:`ComplexApprox` -- one arbitrary-precision ``mpmath.mpc``
+  carrying its working precision and an equality tolerance.
 
 The symbolic kind, rational functions in formal symbols such as
 ``gamma`` and ``r``, lives in :mod:`kodaira.symbolic`, the one module
@@ -25,6 +25,7 @@ the caller can escalate precision instead of guessing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -276,21 +277,17 @@ class QuadExt:
 # ---------------------------------------------------------------------------
 
 
-def _lift_to_mpc(value, prec: int):
-    """Lift an exact scalar (or mpmath number) to an mpc at ``prec`` bits."""
+def _lift_to_mpc(value, prec: int) -> mpmath.mpc:
+    """Lift a scalar (or a Python or mpmath number) to an mpc rounded to ``prec`` bits."""
     with mpmath.workprec(prec):
         if isinstance(value, ComplexApprox):
-            return mpmath.mpc(value.re, value.im)
+            return +value.z
         if isinstance(value, QuadExt):
             return value.to_mpc(prec)
         if isinstance(value, Fraction):
             return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
-        if isinstance(value, int):
-            return mpmath.mpc(value)
-        if isinstance(value, (mpmath.mpf, mpmath.mpc)):
-            return mpmath.mpc(value)
-        if isinstance(value, (float, complex)):
-            return mpmath.mpc(value)
+        if isinstance(value, (int, float, complex, mpmath.mpf, mpmath.mpc)):
+            return mpmath.mpc(value.real, value.imag)
     raise TypeError(f"cannot lift {type(value).__name__} to a complex approximation")
 
 
@@ -298,57 +295,56 @@ def _lift_to_mpc(value, prec: int):
 class ComplexApprox:
     """Arbitrary-precision complex value with precision and tolerance.
 
-    Numeric equality goes through :func:`scalars_equal` and zero tests
-    through :meth:`is_zero`; both classify a distance with
-    :func:`coincide` (equal, distinct, or ambiguous).  The ``==``
-    operator compares representations exactly (so instances stay
+    ``z`` holds at most ``prec`` bits, so an operation uses it as stored:
+    it runs at the larger precision of its operands, lifts an exact
+    operand to that, and carries the larger tolerance.  Numeric equality
+    goes through :func:`scalars_equal` and zero tests through
+    :meth:`is_zero`; both classify a distance with :func:`coincide`.  The
+    ``==`` operator compares representations exactly (so instances stay
     hashable) and is not the numeric equality of the type.
     """
 
-    re: mpmath.mpf
-    im: mpmath.mpf
+    z: mpmath.mpc
     prec: int = DEFAULT_PREC_BITS
     tol: float = DEFAULT_TOL
 
     @classmethod
     def of(cls, value, prec: int = DEFAULT_PREC_BITS, tol: float = DEFAULT_TOL) -> "ComplexApprox":
-        z = _lift_to_mpc(value, prec)
-        return cls(z.real, z.imag, prec, tol)
+        return cls(_lift_to_mpc(value, prec), prec, tol)
 
     @classmethod
     def from_re_im_strings(cls, re: str, im: str, prec: int = DEFAULT_PREC_BITS,
                            tol: float = DEFAULT_TOL) -> "ComplexApprox":
         with mpmath.workprec(prec):
-            return cls(mpmath.mpf(re), mpmath.mpf(im), prec, tol)
+            return cls(mpmath.mpc(re, im), prec, tol)
 
-    @property
-    def mpc(self) -> mpmath.mpc:
-        return mpmath.mpc(self.re, self.im)
+    def _operand(self, other):
+        """``other`` as an mpc, with the precision and tolerance of a result."""
+        if isinstance(other, ComplexApprox):
+            return other.z, max(self.prec, other.prec), max(self.tol, other.tol)
+        return _lift_to_mpc(other, self.prec), self.prec, self.tol
 
     def _binary(self, other, op):
         try:
-            prec = max(self.prec, other.prec) if isinstance(other, ComplexApprox) else self.prec
-            tol = max(self.tol, other.tol) if isinstance(other, ComplexApprox) else self.tol
-            zo = _lift_to_mpc(other, prec)
+            zo, prec, tol = self._operand(other)
         except TypeError:
             return NotImplemented
         with mpmath.workprec(prec):
-            z = op(mpmath.mpc(self.re, self.im), zo)
-        return ComplexApprox(z.real, z.imag, prec, tol)
+            return ComplexApprox(op(self.z, zo), prec, tol)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
         return self._binary(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -357,7 +353,7 @@ class ComplexApprox:
             raise ZeroDivisionError("division by (approximately) zero")
         if isinstance(other, (int, Fraction)) and other == 0:
             raise ZeroDivisionError("division by zero")
-        return self._binary(other, lambda a, b: a / b)
+        return self._binary(other, operator.truediv)
 
     def __rtruediv__(self, other):
         if self.is_zero():
@@ -366,39 +362,37 @@ class ComplexApprox:
 
     def __neg__(self):
         with mpmath.workprec(self.prec):
-            return ComplexApprox(-self.re, -self.im, self.prec, self.tol)
+            return ComplexApprox(-self.z, self.prec, self.tol)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         with mpmath.workprec(self.prec):
-            z = mpmath.mpc(self.re, self.im) ** n
-        return ComplexApprox(z.real, z.imag, self.prec, self.tol)
+            return ComplexApprox(self.z ** n, self.prec, self.tol)
 
     def sqrt(self) -> "ComplexApprox":
         with mpmath.workprec(self.prec):
-            z = mpmath.sqrt(mpmath.mpc(self.re, self.im))
-        return ComplexApprox(z.real, z.imag, self.prec, self.tol)
+            return ComplexApprox(mpmath.sqrt(self.z), self.prec, self.tol)
 
     def abs_value(self) -> mpmath.mpf:
         with mpmath.workprec(self.prec):
-            return abs(mpmath.mpc(self.re, self.im))
+            return abs(self.z)
 
     def distance(self, other) -> mpmath.mpf:
-        prec = max(self.prec, getattr(other, "prec", self.prec))
+        zo, prec, _ = self._operand(other)
         with mpmath.workprec(prec):
-            return abs(mpmath.mpc(self.re, self.im) - _lift_to_mpc(other, prec))
+            return abs(self.z - zo)
 
     def is_zero(self) -> bool:
         return coincide(self.abs_value(), self.tol, "zero-test")
 
     def __repr__(self):
         with mpmath.workprec(self.prec):
-            return f"~({mpmath.nstr(self.re, 17)} + {mpmath.nstr(self.im, 17)}j)"
+            return f"~({mpmath.nstr(self.z.real, 17)} + {mpmath.nstr(self.z.imag, 17)}j)"
 
     def to_str(self, digits: int = 40) -> str:
         with mpmath.workprec(self.prec):
-            return f"{mpmath.nstr(self.re, digits)},{mpmath.nstr(self.im, digits)}"
+            return f"{mpmath.nstr(self.z.real, digits)},{mpmath.nstr(self.z.imag, digits)}"
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +479,8 @@ def coordinates_equal(a: tuple, b: tuple, check_name: str) -> bool:
         return a == b
     prec = max(v.prec for v in approx)
     tol = max(v.tol for v in approx)
-    distance = max(as_approx(u, prec, tol).distance(v) for u, v in zip(a, b))
+    with mpmath.workprec(prec):
+        distance = max(abs(_lift_to_mpc(u, prec) - _lift_to_mpc(v, prec)) for u, v in zip(a, b))
     return coincide(distance, tol, check_name)
 
 
@@ -507,8 +502,8 @@ def scalar_to_json(x):
         with mpmath.workprec(x.prec):
             return {
                 "kind": "complex",
-                "re": mpmath.nstr(x.re, digits),
-                "im": mpmath.nstr(x.im, digits),
+                "re": mpmath.nstr(x.z.real, digits),
+                "im": mpmath.nstr(x.z.imag, digits),
                 "prec": x.prec,
                 "tol": repr(x.tol),
             }

@@ -10,12 +10,11 @@ serialized report for that reason).
 Every approximate decision goes through :func:`kodaira.scalars.coincide`.
 One that falls into the ambiguity band (closer than ten tolerances but
 not within one) raises, and :func:`verify_claim` escalates inline: the
-affected check is re-executed from scratch at the next precision of its
-schedule (doubled at each step), on the same configuration -- the base
+affected check is re-executed from scratch at double the precision (the
+schedule is ``[prec, 2 * prec]``), on the same configuration -- the base
 certificate's base point and stride, re-made at that precision and
-re-checked there; if it is still ambiguous at the last
-precision the run fails loudly with a distinct status instead of
-silently merging nearby points.
+re-checked there; if it is still ambiguous there the run fails loudly
+with a distinct status instead of silently merging nearby points.
 """
 
 from __future__ import annotations
@@ -282,18 +281,20 @@ _CHECKS = (
 
 
 def verify_claim(lam_spec, r: int, samples: int = 50, seed: int = 0,
-                 prec: int = DEFAULT_PREC_BITS, tol: float = DEFAULT_TOL,
-                 escalation_steps: int = 1) -> VerificationRun:
+                 prec: int = DEFAULT_PREC_BITS, tol: float = DEFAULT_TOL) -> VerificationRun:
     """Run the whole verification pipeline, deterministically.
 
     ``lam_spec`` is a Fraction or a pair of decimal strings ``(re, im)``
     so that every precision level can rebuild the parameter exactly.
-    Raises ValueError for the excluded parameter values (0 and -27/4)
-    before any sampling.
+    Raises ValueError for a negative ``samples`` and for the excluded
+    parameter values (0 and -27/4) before any sampling.  An ambiguous
+    check is re-run once, at ``2 * prec`` bits.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     if isinstance(lam_spec, str):
         lam_spec = parse_lambda_spec(lam_spec)
-    schedule = [prec * 2 ** k for k in range(escalation_steps + 1)]
+    schedule = [prec, 2 * prec]
     run = VerificationRun(seed=seed, lam_spec=lam_spec, r=r,
                           precision_schedule=schedule, tol=tol,
                           sample_count=samples)
@@ -307,18 +308,14 @@ def verify_claim(lam_spec, r: int, samples: int = 50, seed: int = 0,
     contexts = {prec: base_ctx}
 
     for index, (name, check) in enumerate(_CHECKS):
-        level = 0
-        escalated = False
-        while True:
-            level_prec = schedule[level]
+        for level, level_prec in enumerate(schedule):
             if level_prec not in contexts:
                 contexts[level_prec] = _Context(lam_spec, r, level_prec, tol, base_ctx)
-            ctx = contexts[level_prec]
             rng = random.Random(seed * 1_000_003 + index)
-            tally = CheckTally(escalated=escalated)
+            tally = CheckTally(escalated=level > 0)
             snapshot = len(run.counterexamples)
             try:
-                check(ctx, run, tally, rng)
+                check(contexts[level_prec], run, tally, rng)
             except AmbiguousCoincidenceError as exc:
                 del run.counterexamples[snapshot:]  # drop the aborted attempt
                 run.escalations.append({
@@ -326,17 +323,15 @@ def verify_claim(lam_spec, r: int, samples: int = 50, seed: int = 0,
                     "from_prec": level_prec,
                     "detail": str(exc),
                 })
-                escalated = True
-                level += 1
-                if level >= len(schedule):
-                    run.status = "precision_exhausted"
-                    run.wall_time_s = time.perf_counter() - start
-                    raise PrecisionExhausted(
-                        f"check {name!r} stayed ambiguous at "
-                        f"{schedule[-1]} bits") from exc
+                ambiguity = exc
                 continue
             run.tallies[name] = tally
             break
+        else:
+            run.status = "precision_exhausted"
+            run.wall_time_s = time.perf_counter() - start
+            raise PrecisionExhausted(
+                f"check {name!r} stayed ambiguous at {schedule[-1]} bits") from ambiguity
 
     if any(t.failed for t in run.tallies.values()):
         run.status = "fail"

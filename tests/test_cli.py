@@ -155,6 +155,40 @@ def test_unknown_flag_exit_code(capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
+def test_negative_samples_exit_code(capsys):
+    code, out, err = run_cli(capsys, "verify-config-curve", "--r", "3", "--samples", "-5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "samples" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--precision", "0"), ("--tol", "0"),
+                                         ("--tol", "nan"), ("--tol", "-1")])
+def test_numeric_flag_out_of_range_exit_code(capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["curve-info", flag, value])
+    assert excinfo.value.code == EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_bad_precision_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("KODAIRA_PRECISION_BITS", "lots")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["curve-info"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "argument --precision:" in capsys.readouterr().err
+
+
+def test_precision_flag_overrides_a_bad_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("KODAIRA_PRECISION_BITS", "lots")
+    from kodaira.cli import build_parser
+
+    assert build_parser().parse_args(["curve-info", "--precision", "64"]).precision == 64
+    code, out, _ = run_cli(capsys, "curve-info", "--precision", "64")
+    assert code == EXIT_OK
+    assert json.loads(out)["command"] == "curve-info"
+
+
 def test_verification_failure_exit_code(capsys, monkeypatch):
     import kodaira.verifier as verifier_module
 

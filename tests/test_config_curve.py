@@ -101,7 +101,7 @@ def _arrowhead(derivs):
 def _svd_rank(matrix):
     # the general SVD survives only here, as an oracle for the structural count
     with mpmath.workprec(256):
-        m = mpmath.matrix([[as_approx(e).mpc for e in row] for row in matrix])
+        m = mpmath.matrix([[as_approx(e).z for e in row] for row in matrix])
         sv = mpmath.svd_c(m, compute_uv=False)
         values = [sv[i] for i in range(sv.rows)]
         return sum(1 for v in values if v > mpmath.mpf(10) ** -40 * max(values))
@@ -253,7 +253,7 @@ def test_branch_count(r, expected):
 def test_branch_points_split_evenly(setup1):
     curve, cc = setup1
     points = cc.branch_points()
-    last_ys = [float(as_approx(t[cc.r - 1].y).re) for t in points]
+    last_ys = [float(as_approx(t[cc.r - 1].y).z.real) for t in points]
     assert sum(1 for y in last_ys if y > 0) == len(points) // 2
 
 
@@ -326,6 +326,25 @@ def test_projection_degrees_all_indices(setup1):
     curve, cc = setup1
     for j in range(1, cc.r + 1):
         assert cc.projection_degree_estimate(j, samples=3) == 2 ** (cc.r - 1)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), ComplexApprox.from_re_im_strings("0.3", "0.7")])
+def test_ramified_draw_is_redrawn(monkeypatch, lam):
+    # the first draw puts slot 2 of the j=1 fiber over a branch image
+    curve = GenusTwoCurve(lam)
+    cc = ConfigurationCurve(curve, find_generic_points(curve.elliptic_quotient(), 4).offsets())
+    elliptic = curve.elliptic_quotient()
+    forced = curve.fiber(elliptic.sub(elliptic.branch_image(+1), cc.offsets[0]))[0]
+    assert len(cc.projection_fiber(1, forced)) == 2 ** (cc.r - 2)
+    draws = []
+
+    def sampler(curve, rng):
+        draws.append(forced if not draws else sample_genus2_point(curve, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(config_curve, "sample_genus2_point", sampler)
+    assert cc.projection_degree_estimate(1, samples=2) == 2 ** (cc.r - 1)
+    assert len(draws) == 3 and draws[0] is forced
 
 
 def test_projection_fiber_members(setup1):

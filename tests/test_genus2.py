@@ -77,7 +77,7 @@ def test_fiber_generic_two_points(curve1):
     q = EllipticPoint(as_approx(Fraction(4), curve1.prec, curve1.tol), y0)
     fiber = curve1.fiber(q)
     assert len(fiber) == 2
-    xs = sorted(float(p.x.re) for p in fiber)
+    xs = sorted(float(p.x.z.real) for p in fiber)
     assert xs == [-2.0, 2.0]
 
 

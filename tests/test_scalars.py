@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kodaira.scalars import (
     ComplexApprox,
@@ -146,6 +147,78 @@ class TestComplexApprox:
     def test_sqrt(self):
         z = ComplexApprox.of(Fraction(2), prec=256)
         assert (z.sqrt() * z.sqrt()).distance(Fraction(2)) < 1e-70
+
+
+_PRECS = (53, 113, 256, 512)
+_TOLS = (1e-40, 1e-30, 1e-12)
+_NONZERO = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def _approx(draw):
+    # re and im are ratios of small integers, |z| >= 1/9, far from every tol
+    prec = draw(st.sampled_from(_PRECS))
+    with mpmath.workprec(prec):
+        z = mpmath.mpc(mpmath.mpf(draw(_NONZERO)) / draw(_NONZERO),
+                       mpmath.mpf(draw(st.integers(-9, 9))) / draw(_NONZERO))
+    return ComplexApprox(z, prec, draw(st.sampled_from(_TOLS)))
+
+
+@st.composite
+def _operands(draw):
+    """A ComplexApprox and a right operand of each kind it meets."""
+    left = draw(_approx())
+    fraction = st.builds(Fraction, _NONZERO, _NONZERO)
+    right = draw(st.one_of(
+        _NONZERO,
+        fraction,
+        st.builds(quadext, fraction, fraction, st.sampled_from([2, 3, -1, Fraction(5, 7)])),
+        _approx().filter(lambda v: v.prec != left.prec)))
+    return left, right
+
+
+def _reference_lift(value, prec):
+    if isinstance(value, ComplexApprox):
+        return value.z
+    if isinstance(value, QuadExt):
+        return value.to_mpc(prec)
+    q = Fraction(value)
+    with mpmath.workprec(prec):
+        return mpmath.mpc(mpmath.mpf(q.numerator) / q.denominator)
+
+
+def _same_bits(result, expected, prec, tol):
+    assert (result.z._mpc_, result.prec, result.tol) == (expected._mpc_, prec, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(), st.integers(-3, 5))
+def test_complex_approx_is_bit_exact_mpmath(operands, n):
+    left, right = operands
+    approx_right = isinstance(right, ComplexApprox)
+    prec = max(left.prec, right.prec) if approx_right else left.prec
+    tol = max(left.tol, right.tol) if approx_right else left.tol
+    zl, zr = left.z, _reference_lift(right, prec)
+    with mpmath.workprec(prec):
+        expected = {"+": zl + zr, "-": zl - zr, "*": zl * zr, "/": zl / zr,
+                    "r+": zr + zl, "r-": zr - zl, "r*": zr * zl, "r/": zr / zl}
+        distance = abs(zl - zr)
+    got = {"+": left + right, "-": left - right, "*": left * right, "/": left / right,
+           "r+": right + left, "r-": right - left, "r*": right * left, "r/": right / left}
+    for key, result in got.items():
+        _same_bits(result, expected[key], prec, tol)
+    assert left.distance(right)._mpf_ == distance._mpf_
+    with mpmath.workprec(left.prec):
+        _same_bits(-left, -zl, left.prec, left.tol)
+        _same_bits(left ** n, zl ** n, left.prec, left.tol)
+        _same_bits(left.sqrt(), mpmath.sqrt(zl), left.prec, left.tol)
+        assert left.abs_value()._mpf_ == abs(zl)._mpf_
+    for p in _PRECS:  # a lift to a precision rounds to it
+        with mpmath.workprec(p):
+            _same_bits(ComplexApprox.of(left, p, tol), +zl, p, tol)
+    # equal values hash equal, whichever way they were made
+    for twin in (left + 0, left * 1, ComplexApprox.of(left, left.prec, left.tol), -(-left)):
+        assert twin == left and hash(twin) == hash(left)
 
 
 def test_scalars_equal_dispatch():

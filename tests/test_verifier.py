@@ -41,6 +41,22 @@ def test_singular_parameters_rejected_before_sampling():
         verify_claim("0/1", 2)
 
 
+def test_negative_samples_rejected_before_any_context(monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("a context was built")
+
+    monkeypatch.setattr(verifier_module, "_Context", no_context)
+    with pytest.raises(ValueError, match="samples"):
+        verify_claim("1/1", 3, samples=-5)
+
+
+def test_zero_samples_stays_legal():
+    run = verify_claim("1/1", 3, samples=0)
+    assert run.passed
+    assert run.sample_count == 0
+    assert run.tallies["membership_and_rank"].checked == 0
+
+
 def test_full_run_rational_lam():
     run = verify_claim("1/1", 3, samples=20, seed=0)
     assert run.passed
