@@ -8,8 +8,8 @@ genus, canonical self-intersection, Euler characteristic, signature and
 slope -- every step either exact or at certified precision.
 
 The symbolic layer (``SymbolicScalar``, the intersection engine and the
-invariants) is the only user of sympy; its names load on first use, so
-the curves and the verifier run without it.
+invariants) is exact ``Fraction`` polynomial arithmetic; its names load
+on first use, so the curves and the verifier never import it.
 """
 
 import importlib

@@ -34,6 +34,7 @@ walked coordinate by coordinate, so a wrongly assembled tuple still fails.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -281,10 +282,19 @@ class ConfigurationCurve:
         """
         if self.r < 2:
             raise ValueError("the forget-last-coordinate tower needs r >= 2")
-        plus, minus = (self.projection_fiber(self.r, self.curve.branch_point(sign))
-                       for sign in (+1, -1))
+        plus, minus = self._critical_fibers
         self._certify_distinct([plus[0][-1], minus[0][-1]])
         return plus + minus
+
+    @functools.cached_property
+    def _critical_fibers(self) -> tuple:
+        """The last slot's projection fibers over the critical points ``+1, -1``.
+
+        Built once per curve: :meth:`branch_points` and
+        :meth:`projection_degree_estimate` at ``j = r`` both read them.
+        """
+        return tuple(self.projection_fiber(self.r, self.curve.branch_point(sign))
+                     for sign in (+1, -1))
 
     # -- projection fibers: the one enumeration of tuples ---------------------------
 
@@ -345,10 +355,13 @@ class ConfigurationCurve:
         to decide a re-draw.  Returns the common cardinality or
         raises on disagreement.
         """
-        counts = {}
-        for sign in (+1, -1):
-            pt = self.curve.branch_point(sign)
-            counts[f"critical{sign:+d}"] = len(self.projection_fiber(j, pt))
+        if j == self.r:
+            critical = self._critical_fibers
+        else:
+            critical = [self.projection_fiber(j, self.curve.branch_point(sign))
+                        for sign in (+1, -1)]
+        counts = {f"critical{sign:+d}": len(fiber)
+                  for sign, fiber in zip((+1, -1), critical)}
         drawn = 0
         attempts = 0
         rng = random.Random(seed * 1_000_003 + j)

@@ -8,10 +8,9 @@ Three kinds of scalar coexist and interoperate:
 * :class:`ComplexApprox` -- one arbitrary-precision ``mpmath.mpc``
   carrying its working precision and an equality tolerance.
 
-The symbolic kind, rational functions in formal symbols such as
-``gamma`` and ``r``, lives in :mod:`kodaira.symbolic`, the one module
-that imports sympy.  Its names stay importable from here and load it
-on first use.
+The symbolic kind, exact rational functions in formal symbols such as
+``gamma`` and ``r``, lives in :mod:`kodaira.symbolic`.  Its names stay
+importable from here and load that module on first use.
 
 Exact kinds satisfy the field axioms exactly and compare exactly.
 ComplexApprox satisfies them to within its tolerance, and every
@@ -39,7 +38,7 @@ COINCIDENCE_GUARD = 10
 
 
 def __getattr__(name):
-    # the symbolic names still resolve here, loading kodaira.symbolic (and sympy)
+    # the symbolic names still resolve here, loading kodaira.symbolic
     if name in ("SymbolicScalar", "symbols") or name.startswith("SYM_"):
         from . import symbolic
 
@@ -510,7 +509,7 @@ def scalar_to_json(x):
     from .symbolic import SymbolicScalar
 
     if isinstance(x, SymbolicScalar):
-        return {"kind": "symbolic", "value": str(x.expr)}
+        return {"kind": "symbolic", "value": str(x)}
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
 
 

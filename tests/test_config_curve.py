@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from kodaira import config_curve
@@ -107,7 +106,7 @@ def _svd_rank(matrix):
         return sum(1 for v in values if v > mpmath.mpf(10) ** -40 * max(values))
 
 
-def _sympy_entry(e):
+def _sympy_entry(sympy, e):
     if isinstance(e, QuadExt):
         return sympy.Rational(e.a) + sympy.Rational(e.b) * sympy.sqrt(sympy.Rational(e.radicand))
     return sympy.Rational(e)
@@ -140,11 +139,12 @@ def _derivatives(draw):
 @settings(max_examples=80, deadline=None)
 @given(_derivatives())
 def test_structural_rank_matches_svd_and_sympy(derivs):
+    sympy = pytest.importorskip("sympy")
     matrix = _arrowhead(derivs)
     rank = arrowhead_rank(derivs)
     assert rank == _svd_rank(matrix)
     if all(not isinstance(d, ComplexApprox) for d in derivs):
-        assert rank == sympy.Matrix([[_sympy_entry(e) for e in row]
+        assert rank == sympy.Matrix([[_sympy_entry(sympy, e) for e in row]
                                      for row in matrix]).rank()
 
 
@@ -501,6 +501,24 @@ def test_branch_points_build_each_slot_fiber_once(lam, monkeypatch):
     counting(type(elliptic), "add")
     assert len(cc.branch_points()) == 2 ** 8
     assert calls == {"fiber": 14, "add": 14}
+
+
+def test_critical_fibers_built_once_per_verify_run(monkeypatch):
+    # branch_points and projection_degree_estimate(r) read the same two
+    # fibers of the last slot over the cover-critical points
+    from kodaira import verify_claim
+
+    calls = []
+    original = ConfigurationCurve.projection_fiber
+
+    def counted(self, j, value):
+        if j == 8 and value in (self.curve.branch_point(+1), self.curve.branch_point(-1)):
+            calls.append(value)
+        return original(self, j, value)
+
+    monkeypatch.setattr(ConfigurationCurve, "projection_fiber", counted)
+    verify_claim("1/1", 8, samples=1)
+    assert len(calls) == 2
 
 
 # -- decisions made once per enumeration -----------------------------------------------

@@ -272,19 +272,23 @@ def test_one_tuple_enumerator():
                    for node, _ in _nodes_in_functions(path))
 
 
-def _imported_modules(path: Path) -> set:
-    """Top-level package names a source file imports, at any depth."""
-    found = set()
-    for node, _ in _nodes_in_functions(path):
+def _sympy_imports(path: Path) -> list:
+    """The enclosing function (None at module level) of each sympy import."""
+    found = []
+    for node, function in _nodes_in_functions(path):
         if isinstance(node, ast.Import):
-            found |= {alias.name.split(".")[0] for alias in node.names}
+            modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.add(node.module.split(".")[0])
+            modules = [node.module]
+        else:
+            continue
+        found += [function for module in modules if module.split(".")[0] == "sympy"]
     return found
 
 
 def test_only_the_symbolic_module_imports_sympy():
-    # the numeric pipeline runs without sympy; a new import of it elsewhere
-    # would load it into every verify run and CLI call again
-    assert [p.name for p in sorted(SRC.glob("*.py"))
-            if "sympy" in _imported_modules(p)] == ["symbolic.py"]
+    # nothing in the package needs sympy: only the bridge functions of the
+    # symbolic module import it, when called, and no module loads it on import
+    found = {p.name: _sympy_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert [name for name, functions in found.items() if functions] == ["symbolic.py"]
+    assert set(found["symbolic.py"]) == {"expr", "_sympy_symbols"}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kodaira.scalars import (
     ComplexApprox,
@@ -18,6 +18,7 @@ from kodaira.scalars import (
     sqrt_in_tower,
     symbols,
 )
+from kodaira.symbolic import NAMES, from_string
 
 
 def rand_fraction(rng, height=20):
@@ -253,6 +254,28 @@ class TestSymbolicScalar:
         with pytest.raises(ZeroDivisionError):
             gamma / SymbolicScalar(0)
 
+    def test_powers(self):
+        gamma, r = symbols("gamma", "r")
+        e = (gamma - 1) / (2 * r + 8)
+        assert e ** 0 == 1
+        assert e ** -2 * e ** 2 == 1
+        assert e ** -1 == (2 * r + 8) / (gamma - 1)
+        with pytest.raises(ZeroDivisionError):
+            SymbolicScalar(0) ** -1
+        with pytest.raises(ZeroDivisionError):
+            1 / (gamma - gamma)
+
+    def test_from_string_rejects_other_expressions(self):
+        for text in ("gamma + beta", "gamma**(1/2)", "1.5*r", "r +", "sqrt(r)"):
+            with pytest.raises(ValueError):
+                from_string(text)
+        assert from_string(" r**-2 ") == 1 / symbols("r") ** 2
+
+    def test_constants_hash_like_fractions(self):
+        assert hash(SymbolicScalar(Fraction(3, 2))) == hash(Fraction(3, 2))
+        assert hash(SymbolicScalar(0)) == hash(0)
+        assert {SymbolicScalar(Fraction(3, 2)): 1}[Fraction(3, 2)] == 1
+
     def test_normalize_twice_is_normalize_once(self):
         rng = random.Random(5)
         gamma, r = symbols("gamma", "r")
@@ -275,3 +298,91 @@ def test_scalar_json_round_trip():
             assert scalars_equal(back, v)
         else:
             assert back == v
+
+
+# -- the symbolic layer against sympy, as an oracle ------------------------------
+
+_COEFFICIENTS = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+_TERMS = st.tuples(st.tuples(*[st.integers(0, 2)] * len(NAMES)), _COEFFICIENTS)
+_POLYNOMIALS = st.lists(_TERMS, max_size=3)
+_DIVISORS = st.lists(_TERMS, min_size=1, max_size=3)
+
+
+def _polynomial(terms, symbol, number):
+    total = number(0)
+    for exponents, c in terms:
+        term = number(c)
+        for name, e in zip(NAMES, exponents):
+            term = term * symbol(name) ** e
+        total = total + term
+    return total
+
+
+def _both(sp, terms):
+    """The same polynomial as a SymbolicScalar and as a sympy expression."""
+    return (_polynomial(terms, symbols, SymbolicScalar),
+            _polynomial(terms, sp.Symbol, lambda c: sp.Rational(c.numerator, c.denominator)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYNOMIALS)
+def test_polynomial_prints_as_sympy(terms):
+    sp = pytest.importorskip("sympy")
+    ours, theirs = _both(sp, terms)
+    cancelled = sp.cancel(theirs)
+    assert str(ours) == str(cancelled)
+    assert ours.free_symbol_names() == {s.name for s in cancelled.free_symbols}
+    assert from_string(str(ours)) == ours
+    assert SymbolicScalar(theirs) == ours  # the sympy bridge
+
+
+@settings(max_examples=30, deadline=None)
+@given(_POLYNOMIALS, _DIVISORS, _DIVISORS)
+def test_gcd_fallback_cancels_like_the_heuristic(a, b, f):
+    # the pseudo-remainder gcd that runs when the heuristic gcd gives up
+    from kodaira import symbolic
+
+    x, y, common = (_polynomial(t, symbols, SymbolicScalar) for t in (a, b, f))
+    assume(not (y.is_zero() or common.is_zero()))
+    fast = (x * common) / (y * common)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symbolic, "_heuristic_gcd", lambda f, g: None)
+        slow = (x * common) / (y * common)
+    assert slow == fast == x / y
+    assert str(slow) == str(fast)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_POLYNOMIALS, _DIVISORS, _POLYNOMIALS, _DIVISORS, _DIVISORS,
+       st.dictionaries(st.sampled_from(NAMES), _COEFFICIENTS | st.just(Fraction(0))))
+def test_quotients_agree_with_sympy(a, b, c, d, f, values):
+    sp = pytest.importorskip("sympy")
+    (na, ea), (nb, eb), (nc, ec), (nd, ed), (nf, _) = (_both(sp, t) for t in (a, b, c, d, f))
+    assume(not (nb.is_zero() or nd.is_zero() or nf.is_zero()))
+    x, y = na / nb, nc / nd
+    cancelled = sp.cancel(ea / eb)
+
+    # decisions
+    equal = sp.cancel(ea / eb - ec / ed) == 0
+    assert (x == y) == equal and (x - y).is_zero() == equal
+    assert x.free_symbol_names() == {s.name for s in cancelled.free_symbols}
+
+    # equal values built different ways are one canonical form
+    for again in ((na * nf) / (nb * nf), x + y - y, (x * y) / y if not y.is_zero() else x):
+        assert again == x
+        assert str(again) == str(x) and hash(again) == hash(x)
+    assert from_string(str(x)) == x
+
+    # substitution, exact and simultaneous, into the cancelled form
+    subs = {sp.Symbol(name): sp.Rational(v.numerator, v.denominator)
+            for name, v in values.items()}
+    numerator, denominator = (e.subs(subs, simultaneous=True) for e in sp.fraction(cancelled))
+    if sp.expand(denominator) == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.substitute(values)
+        return
+    got, want = x.substitute(values), sp.cancel(numerator / denominator)
+    assert got == SymbolicScalar(want)
+    if len(values) == len(NAMES):
+        assert got.as_fraction() == Fraction(int(want.p), int(want.q))
+        assert hash(got) == hash(got.as_fraction())

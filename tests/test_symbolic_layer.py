@@ -1,9 +1,10 @@
-"""sympy backs only the symbolic layer.
+"""Nothing in the package needs sympy.
 
-``kodaira.symbolic`` is the one module that imports sympy.  Importing the
-package, running the verifier or a command that works on curves leaves it
-unloaded; the symbolic names still resolve, from the package and from
-``kodaira.scalars``, and load it on first use.
+The symbolic layer is exact ``Fraction`` polynomial arithmetic.  Importing
+the package, running the verifier, a command that works on curves or one
+of the symbolic commands leaves sympy unloaded; the symbolic names still
+resolve, from the package and from ``kodaira.scalars``.  Only the sympy
+bridge of ``kodaira.symbolic`` (``SYM_*`` and ``.expr``) loads it.
 """
 
 import os
@@ -52,9 +53,23 @@ def test_numeric_pipeline_runs_without_sympy(code):
     assert not sympy_loaded_after(code)
 
 
-def test_symbolic_command_loads_sympy():
-    # the probe above is not vacuous
-    assert sympy_loaded_after(cli_run("k-squared", "--symbolic"))
+@pytest.mark.parametrize("code", [
+    pytest.param(cli_run("k-squared", "--symbolic"), id="k-squared"),
+    pytest.param(cli_run("invariants", "--r", "8", "--gamma", "2"), id="invariants"),
+    pytest.param(cli_run("slope-table", "--r-min", "8", "--r-max", "40"), id="slope-table"),
+    pytest.param("from kodaira.scalars import scalar_from_json, scalar_to_json, symbols\n"
+                 "gamma, r = symbols('gamma', 'r')\n"
+                 "value = (gamma - 1) / (2 * r + 8)\n"
+                 "assert scalar_from_json(scalar_to_json(value)) == value",
+                 id="json-round-trip"),
+])
+def test_symbolic_layer_runs_without_sympy(code):
+    assert not sympy_loaded_after(code)
+
+
+def test_sympy_bridge_loads_sympy():
+    # the probes above are not vacuous
+    assert sympy_loaded_after("import kodaira.scalars\nkodaira.scalars.SYM_GAMMA")
 
 
 def test_every_public_name_resolves():
