@@ -10,10 +10,11 @@ A value is a numerator/denominator pair of polynomials.  A polynomial is
 a dict from exponent tuples over :data:`NAMES` to nonzero ``Fraction``
 coefficients, and comparing two tuples is the lex order on monomials.
 The pair is kept canonical: numerator and denominator are coprime (their
-multivariate gcd is divided out; see :func:`_p_gcd`), a constant
+gcd is divided out; see :func:`_heuristic_gcd`), a constant
 denominator is 1, and otherwise both sides have coprime integer
-coefficients and the denominator's leading coefficient is positive.  So equal values print
-and hash equal, and a constant hashes like its ``Fraction``.
+coefficients and the denominator's leading coefficient is positive.  So
+equal values print and hash equal, and a constant hashes like its
+``Fraction``.
 
 ``str`` of a polynomial is sympy's ``str`` of the same expression, byte
 for byte: terms in lex order over :data:`NAMES`, highest first, printed
@@ -102,45 +103,12 @@ def _p_divexact(a: dict, b: dict) -> dict:
     return quotient
 
 
-def _degree(a: dict, var: int) -> int:
-    return max(m[var] for m in a)
-
-
-def _coefficients(a: dict, var: int) -> dict:
-    """``{k: coefficient of var**k}``, each a polynomial free of ``var``."""
-    out = {}
-    for m, c in a.items():
-        out.setdefault(m[var], {})[m[:var] + (0,) + m[var + 1:]] = c
-    return out
-
-
-def _symbols_in(a: dict) -> set:
-    return {i for m in a for i, e in enumerate(m) if e}
-
-
 def _p_gcd(a: dict, b: dict) -> dict:
-    """Monic greatest common divisor of two nonzero polynomials.
-
-    Monomials and symbols that only one side has are reduced directly; the
-    rest goes to the heuristic gcd, and to pseudo-remainder sequences in the
-    rare case that the heuristic gives up.
-    """
+    """Monic greatest common divisor of two nonzero polynomials."""
     if len(a) == 1 or len(b) == 1:
         # a monomial's divisors are monomials: the least exponent of each symbol
         return {tuple(map(min, *a, *b)): Fraction(1)}
-    only = sorted(_symbols_in(a) ^ _symbols_in(b))
-    if only:
-        # a symbol that one of them lacks is not in the gcd, which therefore
-        # divides each coefficient of the other in that symbol
-        one, common = (a, b) if only[0] in _symbols_in(a) else (b, a)
-        for coefficient in _coefficients(one, only[0]).values():
-            common = _p_gcd(common, coefficient)
-            if _is_constant(common):
-                break
-        return common
     found = _heuristic_gcd(_integral(a), _integral(b))
-    if found is None:
-        return _prs_gcd(a, b)
     return _monic({m: Fraction(c) for m, c in found.items()})
 
 
@@ -156,31 +124,29 @@ def _integral(a: dict) -> dict:
     return {m: int(c * scale) for m, c in a.items()}
 
 
-def _heuristic_gcd(f: dict, g: dict):
-    """gcd in ``Z[NAMES]`` of two nonzero int polynomials, or None.
+def _heuristic_gcd(f: dict, g: dict) -> dict:
+    """gcd in ``Z[NAMES]`` of two nonzero int polynomials.
 
     The heuristic gcd of Char, Geddes and Gonnet: evaluate the first symbol
     at an integer ``x``, take the gcd of the values recursively, and read
     the symbol's coefficients back as balanced base-``x`` digits.  With
-    ``x >= 2 * min(|f|, |g|) + 2`` a candidate that divides both is the gcd;
-    None after six unlucky ``x``.
+    ``x >= 2 * min(|f|, |g|) + 2`` a primitive candidate that divides both
+    is the gcd.  An unlucky ``x`` gives a candidate that does not divide,
+    and ``x`` grows; every large enough ``x`` is lucky, so the loop ends.
     """
     common = math.gcd(*f.values(), *g.values())
     f = {m: c // common for m, c in f.items()}
     g = {m: c // common for m, c in g.items()}
-    symbols_in = _symbols_in(f) | _symbols_in(g)
-    if not symbols_in:
+    present = [i for i in range(len(NAMES)) if any(m[i] for m in (*f, *g))]
+    if not present:
         return {_CONST: common * math.gcd(f[_CONST], g[_CONST])}
-    var = min(symbols_in)
+    var = present[0]
     x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    for _ in range(6):
+    while True:
         at_x = [_evaluate(p, var, x) for p in (f, g)]
         if all(at_x):
-            found = _heuristic_gcd(*at_x)
-            if found is None:
-                return None
             candidate = {}
-            for m, c in found.items():
+            for m, c in _heuristic_gcd(*at_x).items():
                 k = 0
                 while c:
                     digit = c % x
@@ -194,7 +160,6 @@ def _heuristic_gcd(f: dict, g: dict):
             if _divides(candidate, f) and _divides(candidate, g):
                 return {m: common * c for m, c in candidate.items()}
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
-    return None
 
 
 def _evaluate(a: dict, var: int, x: int) -> dict:
@@ -212,39 +177,6 @@ def _divides(b: dict, a: dict) -> bool:
     except ArithmeticError:
         return False
     return True
-
-
-def _primitive(a: dict, var: int) -> tuple:
-    """``(content, primitive part)`` of ``a`` as a polynomial in ``var``."""
-    content = None
-    for coefficient in _coefficients(a, var).values():
-        content = coefficient if content is None else _p_gcd(content, coefficient)
-        if _is_constant(content):
-            return _ONE, _monic(a)
-    return content, _p_divexact(a, content)
-
-
-def _prs_gcd(a: dict, b: dict) -> dict:
-    """Monic gcd by primitive pseudo-remainder sequences, the slow fallback."""
-    var = min(_symbols_in(a) | _symbols_in(b))
-    content_a, a = _primitive(a, var)
-    content_b, b = _primitive(b, var)
-    content = _p_gcd(content_a, content_b)
-    if _degree(a, var) < _degree(b, var):
-        a, b = b, a
-    while _degree(b, var):
-        lead_b = _coefficients(b, var)[_degree(b, var)]
-        rest = a
-        while rest and _degree(rest, var) >= _degree(b, var):
-            top = _degree(rest, var)
-            shift = {tuple(top - _degree(b, var) if i == var else 0
-                           for i in range(len(NAMES))): Fraction(1)}
-            lead_rest = _coefficients(rest, var)[top]
-            rest = _p_add(_p_mul(lead_b, rest), _p_mul(_p_mul(lead_rest, shift), b), -1)
-        if not rest:
-            return _monic(_p_mul(content, b))
-        a, b = b, _monic(_primitive(rest, var)[1])
-    return content
 
 
 def _canonical(num: dict, den: dict) -> tuple:

@@ -336,20 +336,33 @@ def test_polynomial_prints_as_sympy(terms):
     assert SymbolicScalar(theirs) == ours  # the sympy bridge
 
 
-@settings(max_examples=30, deadline=None)
-@given(_POLYNOMIALS, _DIVISORS, _DIVISORS)
-def test_gcd_fallback_cancels_like_the_heuristic(a, b, f):
-    # the pseudo-remainder gcd that runs when the heuristic gcd gives up
+@settings(max_examples=60, deadline=None)
+@given(_POLYNOMIALS, _POLYNOMIALS, _DIVISORS)
+def test_gcd_agrees_with_sympy(a, b, f):
+    sp = pytest.importorskip("sympy")
+    from kodaira.symbolic import _p_gcd
+
+    (na, ea), (nb, eb), (nf, ef) = (_both(sp, t) for t in (a, b, f))
+    x, y = na * nf, nb * nf
+    assume(not (x.is_zero() or y.is_zero()))
+    ours = SymbolicScalar((_p_gcd(x._num, y._num), {(0,) * len(NAMES): Fraction(1)}))
+    # equal up to a nonzero rational factor, and monic in the lex order
+    unit = sp.cancel(sp.gcd(sp.expand(ea * ef), sp.expand(eb * ef)) / ours.expr)
+    assert unit.is_Rational and unit != 0
+    assert ours._num[max(ours._num)] == 1
+
+
+def test_gcd_retries_an_unlucky_evaluation(monkeypatch):
+    # here the first evaluation point's candidate divides neither polynomial
     from kodaira import symbolic
 
-    x, y, common = (_polynomial(t, symbols, SymbolicScalar) for t in (a, b, f))
-    assume(not (y.is_zero() or common.is_zero()))
-    fast = (x * common) / (y * common)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(symbolic, "_heuristic_gcd", lambda f, g: None)
-        slow = (x * common) / (y * common)
-    assert slow == fast == x / y
-    assert str(slow) == str(fast)
+    failed = []
+    divides = symbolic._divides
+    monkeypatch.setattr(symbolic, "_divides", lambda b, a: divides(b, a) or failed.append(b))
+    f, g = from_string("3*r**2*x1 - 6*r*x1"), from_string("-3*gamma*x1 - 6*r**2*x1**2")
+    assert symbolic._p_gcd(f._num, g._num) == symbols("x1")._num
+    assert failed
+    assert str(f / g) == "(-r**2 + 2*r)/(gamma + 2*r**2*x1)"
 
 
 @settings(max_examples=40, deadline=None)
