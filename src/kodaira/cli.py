@@ -191,7 +191,7 @@ def _cmd_verify(args) -> int:
                        prec=args.precision, tol=args.tol)
     if args.dump_enumeration:
         with open(args.dump_enumeration, "w") as fh:
-            fh.write(ConfigurationCurve.enumeration_to_csv(run.branch_points))
+            fh.writelines(ConfigurationCurve.enumeration_csv_lines(run.branch_points))
     _emit(args, run.to_json())
     return EXIT_OK if run.passed else EXIT_VERIFICATION_FAILED
 

@@ -11,25 +11,53 @@ their count ``2^r``, the genus by Riemann-Hurwitz recursion against its
 closed form ``r * 2^(r-1) + 1``, and coordinate-projection degrees
 ``2^(r-1)``.
 
-Every enumeration of tuples is :meth:`ConfigurationCurve.projection_fiber`:
-a product of per-slot choices, each a cover fiber of one or two points or
-a single given point.  The later fibers depend only on ``cover(p_1)``,
-which both choices of ``p_1`` share, so every slot has one fiber for the
-whole enumeration and two tuples differ at the first slot where their
-choices differ.  So the tuples are pairwise distinct once the two points
-of every two-point slot fiber are certified distinct: one decision per
-slot, made on the points in the coordinate kind the tuples carry.
+Every enumeration of tuples is a :class:`SlotProduct` made by
+:meth:`ConfigurationCurve.projection_fiber`: every combination of one
+choice per slot, each slot a cover fiber of one or two points or a single
+given point.  The later fibers depend only on ``cover(p_1)``, which both
+choices of ``p_1`` share, so every slot has one fiber for the whole
+enumeration and two tuples differ at the first slot where their choices
+differ.  So the tuples are pairwise distinct once the two points of every
+two-point slot fiber are certified distinct: one decision per slot, made
+on the points in the coordinate kind the tuples carry.  The tuples
+themselves are built only when a caller iterates or indexes the product.
 
-Membership and rank are checked tuple by tuple, but the tuples of one
-enumeration share their point objects: a fiber of ``2^(r-1)`` tuples holds
-``O(r)`` points and ``O(r^2)`` slot pairs.  So :meth:`~ConfigurationCurve.contains`
-and :meth:`~ConfigurationCurve.jacobian` look every decision up in a memo
-scoped to one enumeration (:class:`_Decisions`), which makes it on first
-use: on-curve per point, the expected image ``cover(p_1) + e_i`` per
-``(i, p_1)``, the cover condition per ``(i, p_1, p_i)``, distinctness per
-slot-ordered pair ``(p_i, p_j)``, the cover derivative and its zero test
-per point, and the branch sign per last coordinate.  Every tuple is still
-walked coordinate by coordinate, so a wrongly assembled tuple still fails.
+Membership and rank follow from the slots too.  Each condition is about
+one coordinate (on the curve; the cover derivative and its zero test),
+one coordinate against the first (the cover condition
+``cover(p_i) = cover(p_1) + e_i``) or two coordinates (distinct).  A
+product holds every combination of choices, so a condition holds on all
+its tuples iff it holds on every choice, every (slot-1 choice, slot-i
+choice) pair or every pair of choices from two slots: ``O(r)`` choice and
+``O(r^2)`` pair decisions for ``2^(r-1)`` tuples.  The rank of the
+Jacobian arrowhead depends only on which cover derivatives vanish
+(:func:`arrowhead_rank`), so it is ``r - 1`` on every tuple iff at most
+one slot ``i >= 2`` holds a choice with vanishing derivative and, if one
+does, no slot-1 choice has one.
+:meth:`~ConfigurationCurve.all_smooth_members` makes these decisions.
+
+Distinctness of two slots is decided on their shared ``y``.  Both choices
+of a fiber are ``(+-x, y)`` over one ``y``, and the point decision
+classifies the max-norm distance of ``(x, y)``, which is at least
+``|y_a - y_b|``.  So a ``y`` distance certified distinct, at the
+precision and tolerance of the point decision (negation keeps both, so
+the four point pairs share them), certifies all four point pairs
+distinct: one decision where there were four.  When the ``y``'s are not
+certified apart, a slot's ``y``'s differ or a slot holds a point at
+infinity, each point pair is decided instead.  Cover images would not
+do: ``x -> x^2`` stretches distances by ``2|x|``, so points less than
+``tol`` apart can have images ten tolerances apart.
+
+Every decision goes through a memo scoped to one enumeration
+(:class:`_Decisions`), which makes it on first use: on-curve per point,
+the expected image ``cover(p_1) + e_i`` per ``(i, p_1)``, the cover
+condition per ``(i, p_1, p_i)``, distinctness per slot-ordered pair
+``(p_i, p_j)``, the cover derivative and its zero test per point, and the
+branch sign per last coordinate.  When a slot decision fails or is
+ambiguous, the caller walks the tuples through
+:meth:`~ConfigurationCurve.contains` and
+:meth:`~ConfigurationCurve.jacobian` on the same memo, which names every
+failing tuple and meets an ambiguous decision in tuple order.
 """
 
 from __future__ import annotations
@@ -37,6 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +78,7 @@ from .scalars import (
     AmbiguousCoincidenceError,
     ComplexApprox,
     as_approx,
+    coordinate_separates,
     scalar_is_zero,
     scalar_to_json,
 )
@@ -97,6 +127,49 @@ class ConfigTuple:
             else:
                 out.append({"x": scalar_to_json(p.x), "y": scalar_to_json(p.y)})
         return out
+
+
+@dataclass(frozen=True)
+class SlotProduct:
+    """The tuples of one enumeration: every combination of one choice per slot.
+
+    ``slots`` holds each slot's certified choices.  No tuple is stored:
+    ``len`` multiplies the slot sizes, an index is decomposed slot by
+    slot, and iteration is :meth:`tuples`.
+    """
+
+    slots: tuple
+
+    def __len__(self):
+        return math.prod(map(len, self.slots))
+
+    def __getitem__(self, k: int) -> ConfigTuple:
+        k = range(len(self))[k]  # negative indices and IndexError as for a list
+        picked = []
+        for choices in reversed(self.slots):
+            k, c = divmod(k, len(choices))
+            picked.append(choices[c])
+        return ConfigTuple(tuple(reversed(picked)))
+
+    def __iter__(self):
+        return self.tuples()
+
+    def tuples(self):
+        """The tuples in ``itertools.product`` order: the last slot varies fastest."""
+        return (ConfigTuple(combo) for combo in itertools.product(*self.slots))
+
+
+@dataclass(frozen=True)
+class Enumeration:
+    """Slot products enumerated one after the other, such as the branch points."""
+
+    products: tuple
+
+    def __len__(self):
+        return sum(map(len, self.products))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.products)
 
 
 @dataclass
@@ -241,7 +314,7 @@ class ConfigurationCurve:
 
     # -- fibers over the first coordinate ------------------------------------------
 
-    def fiber_over_first(self, p1: GenusTwoPoint) -> list:
+    def fiber_over_first(self, p1: GenusTwoPoint) -> SlotProduct:
         """All tuples of the configuration curve with first coordinate ``p1``."""
         return self.projection_fiber(1, p1)
 
@@ -268,29 +341,66 @@ class ConfigurationCurve:
         rank = arrowhead_rank(derivs, known.is_zero)
         return JacobianReport(matrix, rank, full_rank=(rank == r - 1))
 
+    # -- a whole enumeration from its slots --------------------------------------------
+
+    def all_smooth_members(self, product: SlotProduct, decisions: "_Decisions") -> bool:
+        """Whether every tuple of ``product`` is a member of Jacobian rank ``r - 1``.
+
+        Decided from the slots (see the module docstring), each decision
+        once in ``decisions``: on-curve per choice, the cover condition
+        per (slot-1 choice, slot-i choice), distinctness per slot pair and
+        the derivative zero test per choice, for slot 1 only when a later
+        slot has a vanishing derivative.  Walking the tuples through
+        :meth:`contains` and :meth:`jacobian` makes these decisions and no
+        other that can raise, so True means that walk passes every tuple.
+        False means some decision failed or was ambiguous, and only the
+        walk says which tuples fail; a decision that raised is not stored,
+        so the walk meets it again in tuple order.
+        """
+        slots = product.slots
+        points = tuple(p for choices in slots for p in choices)
+        if len(slots) != self.r or not ConfigTuple(points).kinds_uniform():
+            return False  # the walk rejects or raises per tuple
+        first, later = slots[0], slots[1:]
+        try:
+            # on-curve first: the cover and its derivative raise off the curve
+            return (all(decisions.on_curve(p) for p in points)
+                    and all(decisions.covers(i, p1, p) for p1 in first
+                            for i, choices in enumerate(later, start=2) for p in choices)
+                    and all(decisions.slots_apart(a, b)
+                            for a, b in itertools.combinations(slots, 2))
+                    and _full_rank_everywhere(first, later, decisions))
+        except AmbiguousCoincidenceError:
+            return False
+
     # -- branch points of the forget-last-coordinate tower ------------------------------
 
-    def branch_points(self) -> list:
+    def branch_enumeration(self) -> Enumeration:
         """The branch points of the double cover forgetting the last slot.
 
         These are the member tuples whose last coordinate is one of the two
-        cover-critical points: the last slot's projection fibers over both.
-        Each fiber's tuples are certified distinct slot by slot, and two
-        tuples from different fibers differ in the last slot once the two
-        critical points are certified distinct.  So ``O(r)`` decisions
-        certify all ``2^r`` tuples pairwise distinct, not ``O(4^r)``.
+        cover-critical points: the last slot's projection fibers over both,
+        as two slot products.  Each fiber's tuples are certified distinct
+        slot by slot, and two tuples from different fibers differ in the
+        last slot once the two critical points are certified distinct.  So
+        ``O(r)`` decisions certify all ``2^r`` tuples pairwise distinct,
+        not ``O(4^r)``.
         """
         if self.r < 2:
             raise ValueError("the forget-last-coordinate tower needs r >= 2")
         plus, minus = self._critical_fibers
-        self._certify_distinct([plus[0][-1], minus[0][-1]])
-        return plus + minus
+        self._certify_distinct([plus.slots[-1][0], minus.slots[-1][0]])
+        return Enumeration((plus, minus))
+
+    def branch_points(self) -> list:
+        """The ``2^r`` tuples of :meth:`branch_enumeration`, as a list."""
+        return list(self.branch_enumeration())
 
     @functools.cached_property
     def _critical_fibers(self) -> tuple:
         """The last slot's projection fibers over the critical points ``+1, -1``.
 
-        Built once per curve: :meth:`branch_points` and
+        Built once per curve: :meth:`branch_enumeration` and
         :meth:`projection_degree_estimate` at ``j = r`` both read them.
         """
         return tuple(self.projection_fiber(self.r, self.curve.branch_point(sign))
@@ -298,16 +408,16 @@ class ConfigurationCurve:
 
     # -- projection fibers: the one enumeration of tuples ---------------------------
 
-    def projection_fiber(self, j: int, value: GenusTwoPoint) -> list:
+    def projection_fiber(self, j: int, value: GenusTwoPoint) -> SlotProduct:
         """All member tuples whose j-th coordinate equals ``value`` (1-based).
 
-        The one enumeration of tuples (see the module docstring).  Slot 1
-        ranges over the fiber over ``cover(value) - e_j`` (just ``value``
-        when ``j = 1``), slot ``j`` holds ``value`` and every other slot
-        ``i`` the fiber over ``cover(p_1) + e_i``; a slot whose target is a
-        branch image has one choice.  The choices ``(+-x, y)`` of slot 1
-        share the cover image ``(x^2, y)``, so every later slot fiber is
-        built once.
+        The one enumeration of tuples, as a :class:`SlotProduct` (see the
+        module docstring).  Slot 1 ranges over the fiber over
+        ``cover(value) - e_j`` (just ``value`` when ``j = 1``), slot ``j``
+        holds ``value`` and every other slot ``i`` the fiber over
+        ``cover(p_1) + e_i``; a slot whose target is a branch image has one
+        choice.  The choices ``(+-x, y)`` of slot 1 share the cover image
+        ``(x^2, y)``, so every later slot fiber is built once.
         """
         if not 1 <= j <= self.r:
             raise ValueError("projection index out of range")
@@ -322,7 +432,7 @@ class ConfigurationCurve:
             for i, e in enumerate(self.offsets, start=2)])
         for choices in slots:
             self._certify_distinct(choices)
-        return [ConfigTuple(combo) for combo in itertools.product(*slots)]
+        return SlotProduct(tuple(tuple(choices) for choices in slots))
 
     def _uniform(self, slots: list) -> list:
         """Slot choices in the kind their tuples carry: mixed lifts to ComplexApprox.
@@ -390,7 +500,7 @@ class ConfigurationCurve:
         per_level = {}
         for level in range(2, self.r + 1):
             sub = ConfigurationCurve(self.curve, self.offsets[:level - 1])
-            per_level[level] = len(sub.branch_points())
+            per_level[level] = len(sub.branch_enumeration())
         rec, closed = genus(self.r)
         est = self.projection_degree_estimate(1, samples=3)
         return TowerReport(
@@ -407,22 +517,28 @@ class ConfigurationCurve:
         )
 
     @staticmethod
-    def enumeration_to_csv(tuples: list) -> str:
-        """One tuple per row, coordinates rendered as strings.
+    def enumeration_to_csv(tuples) -> str:
+        """One tuple per row, coordinates rendered as strings."""
+        return "".join(ConfigurationCurve.enumeration_csv_lines(tuples))
+
+    @staticmethod
+    def enumeration_csv_lines(tuples):
+        """The lines of :meth:`enumeration_to_csv`, made as ``tuples`` yields them.
 
         The header names the coordinates of the first tuple's slots, so
         the enumeration must not be empty.
         """
-        lines = [",".join(f"{c}{i}" for i in range(1, len(tuples[0]) + 1) for c in "xy")]
-        for tup in tuples:
+        rows = iter(tuples)
+        first = next(rows)
+        yield ",".join(f"{c}{i}" for i in range(1, len(first) + 1) for c in "xy") + "\n"
+        for tup in itertools.chain((first,), rows):
             row = []
             for p in tup:
                 if p.is_infinity:
                     row += [f"infinity{p.infinity_sign:+d}", ""]
                 else:
                     row += [_scalar_str(p.x), _scalar_str(p.y)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            yield ",".join(row) + "\n"
 
 
 def _scalar_str(x) -> str:
@@ -452,6 +568,32 @@ def sample_genus2_point(curve: GenusTwoCurve, rng) -> GenusTwoPoint:
     return GenusTwoPoint.affine(x, y)
 
 
+def _full_rank_everywhere(first: tuple, later: tuple, known: "_Decisions") -> bool:
+    """:func:`arrowhead_rank` is ``r - 1`` on every tuple of the slot product.
+
+    Every zero test of a later slot is made, as the walk makes it on every
+    tuple; slot 1's only when one later slot holds a vanishing derivative,
+    as the walk makes it only on the tuples holding that choice.
+    """
+    vanishing = sum(any([known.is_zero(known.derivative(p)) for p in choices])
+                    for choices in later)
+    return vanishing == 0 or (vanishing == 1 and not any(
+        known.is_zero(known.derivative(p)) for p in first))
+
+
+def _shared_y_apart(a: tuple, b: tuple) -> bool:
+    """Whether the shared ``y`` of two slots certifies all their point pairs distinct.
+
+    See the module docstring.  False when it decides nothing: a point at
+    infinity, a slot whose ``y``'s are not ``==``, or ``y``'s not
+    certified apart.
+    """
+    if any(p.is_infinity or p.y != choices[0].y for choices in (a, b) for p in choices):
+        return False
+    return coordinate_separates((a[0].x, a[0].y), (b[0].x, b[0].y), 1,
+                                "membership-distinctness")
+
+
 def arrowhead_rank(derivs: list, is_zero=scalar_is_zero) -> int:
     """Rank of the Jacobian arrowhead built from cover derivatives ``d_1..d_r``.
 
@@ -472,8 +614,8 @@ class _Decisions:
     entry keeps those objects, so an id cannot be reused while the memo
     lives.  A decision that raises is not stored: the check that made it
     is abandoned and its memo with it.  One memo serves one enumeration --
-    a :meth:`ConfigurationCurve.fiber_over_first` list or a
-    :meth:`ConfigurationCurve.branch_points` list -- and is dropped with it.
+    a :meth:`ConfigurationCurve.fiber_over_first` product or the
+    :meth:`ConfigurationCurve.branch_enumeration` -- and is dropped with it.
     """
 
     def __init__(self, config: ConfigurationCurve):
@@ -514,6 +656,14 @@ class _Decisions:
         """Whether ``p`` and a point ``q`` of a later slot coincide."""
         return self._once(("coincide", id(p), id(q)), genus2_points_equal,
                           p, q, "membership-distinctness")
+
+    def slots_apart(self, a: tuple, b: tuple) -> bool:
+        """Whether no choice of slot ``a`` coincides with one of a later slot ``b``.
+
+        One decision on the shared ``y`` when that separates the slots,
+        otherwise one per point pair, as :meth:`coincide` decides it.
+        """
+        return _shared_y_apart(a, b) or not any(self.coincide(p, q) for p in a for q in b)
 
     def derivative(self, p: GenusTwoPoint):
         return self._once(("derivative", id(p)), self.curve.cover_derivative, p)

@@ -473,14 +473,42 @@ def coordinates_equal(a: tuple, b: tuple, check_name: str) -> bool:
     approximate entries, so a coordinate inside the ambiguity band does
     not raise when another one is certifiably apart.
     """
-    approx = [v for v in a + b if isinstance(v, ComplexApprox)]
-    if not approx:
+    scale = _scale(a + b)
+    if scale is None:
         return a == b
-    prec = max(v.prec for v in approx)
-    tol = max(v.tol for v in approx)
+    prec, tol = scale
     with mpmath.workprec(prec):
         distance = max(abs(_lift_to_mpc(u, prec) - _lift_to_mpc(v, prec)) for u, v in zip(a, b))
     return coincide(distance, tol, check_name)
+
+
+def coordinate_separates(a: tuple, b: tuple, k: int, check_name: str) -> bool:
+    """Whether coordinate ``k`` alone makes ``coordinates_equal(a, b)`` False.
+
+    That call classifies the max-norm distance, which is at least
+    ``|a[k] - b[k]|``; measured here at the same precision and tolerance,
+    a ``k``-th distance certified distinct decides it.  A coincident or
+    ambiguous ``k``-th distance decides nothing, so it returns False
+    rather than raising.  All-exact tuples separate iff ``a[k] != b[k]``.
+    """
+    scale = _scale(a + b)
+    if scale is None:
+        return a[k] != b[k]
+    prec, tol = scale
+    with mpmath.workprec(prec):
+        distance = abs(_lift_to_mpc(a[k], prec) - _lift_to_mpc(b[k], prec))
+    try:
+        return not coincide(distance, tol, check_name)
+    except AmbiguousCoincidenceError:
+        return False
+
+
+def _scale(values: tuple):
+    """``(prec, tol)`` of a decision on ``values``: the largest among the approximate ones."""
+    approx = [v for v in values if isinstance(v, ComplexApprox)]
+    if not approx:
+        return None
+    return max(v.prec for v in approx), max(v.tol for v in approx)
 
 
 def scalar_to_json(x):

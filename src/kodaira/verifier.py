@@ -111,7 +111,7 @@ class VerificationRun:
     escalations: list = field(default_factory=list)
     status: str = "pass"
     wall_time_s: float = 0.0     # excluded from the serialized report
-    branch_points: list = field(default_factory=list)  # the checked ones; not serialized
+    branch_points: object = ()   # the checked Enumeration; not serialized
 
     @property
     def passed(self) -> bool:
@@ -188,7 +188,10 @@ def _check_membership_and_rank(ctx: _Context, run: VerificationRun, tally: Check
             continue
         fiber = config.fiber_over_first(p1)
         decisions = _Decisions(config)  # scoped to this fiber
-        for tup in fiber:
+        if config.all_smooth_members(fiber, decisions):
+            tally.record(True, n=len(fiber))
+            continue
+        for tup in fiber:  # some tuple fails or is ambiguous: find it
             ok_member = config.contains(tup, decisions)
             report = config.jacobian(tup, decisions)
             ok_rank = report.rank == want_rank
@@ -211,18 +214,22 @@ def _check_membership_and_rank(ctx: _Context, run: VerificationRun, tally: Check
 def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):
     config = ctx.config
     r = config.r
-    points = run.branch_points = config.branch_points()
+    points = run.branch_points = config.branch_enumeration()
     decisions = _Decisions(config)  # scoped to this enumeration
     expected = 2 ** r
     ok_count = len(points) == expected
     tally.record(ok_count)
     tally.info["expected"] = expected
     tally.info["found"] = len(points)
-    # split by the sign of the forced last coordinate
+    # split by the sign of the forced last coordinate: each last-slot choice
+    # of a product ends len(product) / len(choices) of its tuples, and the
+    # choices are decided in the order the tuples first meet them
     half = expected // 2
     split = {+1: 0, -1: 0}
-    for tup in points:
-        split[decisions.branch_sign(tup[-1])] += 1
+    for product in points.products:
+        last = product.slots[-1]
+        for p in last:
+            split[decisions.branch_sign(p)] += len(product) // len(last)
     ok_split = split[+1] == half and split[-1] == half
     tally.record(ok_split)
     tally.info["split"] = {"+1": split[+1], "-1": split[-1]}
@@ -235,12 +242,16 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
             "points": [t.to_json_dict() for t in points],
         })
     # every branch point is a smooth member
-    for tup in points:
-        ok = config.contains(tup, decisions) and config.jacobian(tup, decisions).rank == r - 1
-        tally.record(ok)
-        if not ok:
-            run.counterexamples.append({"check": "branch_membership",
-                                        "tuple": tup.to_json_dict()})
+    for product in points.products:
+        if config.all_smooth_members(product, decisions):
+            tally.record(True, n=len(product))
+            continue
+        for tup in product:
+            ok = config.contains(tup, decisions) and config.jacobian(tup, decisions).rank == r - 1
+            tally.record(ok)
+            if not ok:
+                run.counterexamples.append({"check": "branch_membership",
+                                            "tuple": tup.to_json_dict()})
 
 
 def _check_projection_degrees(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):

@@ -189,3 +189,16 @@ def test_criterion_11_paper_regime_at_default_samples():
     ok = ok and run.tallies["membership_and_rank"].checked == 50 * 2 ** 7
     _report(11, "verify_claim at r = 8, default samples, inside 20 s",
             ok and elapsed < 20.0)
+
+
+def test_criterion_12_deep_regime_at_default_samples():
+    # r = 16 at the default 50 samples: 2^15 tuples per fiber, decided from
+    # their slots; the budget is for two cores, where the run takes about 3 s
+    start = time.perf_counter()
+    run = verify_claim("1/1", 16)
+    elapsed = time.perf_counter() - start
+    ok = run.passed and run.sample_count == 50
+    ok = ok and run.tallies["membership_and_rank"].checked == 50 * 2 ** 15
+    ok = ok and run.tallies["branch_count"].checked == 2 + 2 ** 16
+    _report(12, "verify_claim at r = 16, default samples, inside 20 s",
+            ok and elapsed < 20.0)

@@ -97,7 +97,7 @@ def test_verify_dump_enumeration(capsys, tmp_path):
 def test_dump_enumeration_writes_the_checked_points(capsys, tmp_path, monkeypatch):
     # the branch count is ambiguous at the base precision and escalates;
     # the dump holds the points checked at the escalated precision
-    original = ConfigurationCurve.branch_points
+    original = ConfigurationCurve.branch_enumeration
 
     def ambiguous_at_base(self):
         if self.curve.prec == DEFAULT_PREC_BITS:
@@ -105,7 +105,7 @@ def test_dump_enumeration_writes_the_checked_points(capsys, tmp_path, monkeypatc
                                             distance=0.0, tol=self.curve.tol)
         return original(self)
 
-    monkeypatch.setattr(ConfigurationCurve, "branch_points", ambiguous_at_base)
+    monkeypatch.setattr(ConfigurationCurve, "branch_enumeration", ambiguous_at_base)
     target = tmp_path / "branch.csv"
     code, out, _ = run_cli(capsys, "verify-config-curve", "--lambda", "0.5,0.25",
                            "--r", "2", "--samples", "2",

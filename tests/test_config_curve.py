@@ -12,6 +12,7 @@ from kodaira.config_curve import (
     ConfigTuple,
     ConfigurationCurve,
     MixedKindError,
+    SlotProduct,
     _Decisions,
     arrowhead_rank,
     base_genus_from_cover_degree,
@@ -574,13 +575,14 @@ def test_warm_memo_rejects_an_off_curve_point(warm_r8):
 
 def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
     # per fiber of 2^(r-1) tuples: r-1 expected images (one add each) and
-    # at most 4 decisions per slot pair, against (r-1) adds and C(r, 2)
-    # comparisons per tuple when every tuple is decided from scratch
+    # one distinctness decision per slot pair, on the shared y, against
+    # (r-1) adds and C(r, 2) comparisons per tuple when every tuple is
+    # decided from scratch
     cc, fiber, other, _ = warm_r8
     r = cc.r
     calls = {"add": 0, "distinct": 0, "on-curve": 0}
     add, contains = EllipticCurve.add, GenusTwoCurve.contains
-    equal = config_curve.genus2_points_equal
+    equal, separates = config_curve.genus2_points_equal, config_curve.coordinate_separates
 
     def counted_add(*args):
         calls["add"] += 1
@@ -590,19 +592,39 @@ def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
         calls["distinct"] += check_name == "membership-distinctness"
         return equal(p, q, check_name)
 
+    def counted_separates(*args):
+        calls["distinct"] += 1
+        return separates(*args)
+
     def counted_contains(*args):
         calls["on-curve"] += 1
         return contains(*args)
 
     monkeypatch.setattr(EllipticCurve, "add", counted_add)
     monkeypatch.setattr(config_curve, "genus2_points_equal", counted_equal)
+    monkeypatch.setattr(config_curve, "coordinate_separates", counted_separates)
     monkeypatch.setattr(GenusTwoCurve, "contains", counted_contains)
-    decisions = _Decisions(cc)
-    assert all(cc.contains(tup, decisions) for tup in other)
+    assert cc.all_smooth_members(other, _Decisions(cc))
     assert calls["add"] <= 2 * (r - 1)
-    assert calls["distinct"] <= 4 * (r * (r - 1) // 2)
-    # per distinct point: the on-curve decision and the check inside cover()
-    assert calls["on-curve"] <= 2 * (1 + 2 * (r - 1))
+    assert calls["distinct"] <= r * (r - 1) // 2
+    # per distinct point: the on-curve decision and the checks inside
+    # cover() and cover_derivative()
+    assert calls["on-curve"] <= 3 * (1 + 2 * (r - 1))
+
+
+def test_slot_verdict_agrees_with_the_walk(warm_r8):
+    # on two r=8 fibers the verdict passes, and so does every tuple walked
+    # through contains and jacobian; a slot holding another fiber's point
+    # fails it
+    cc, fiber, other, _ = warm_r8
+    for product in (fiber, other):
+        decisions = _Decisions(cc)
+        assert cc.all_smooth_members(product, decisions)
+        assert all(cc.contains(tup, decisions) and cc.jacobian(tup, decisions).full_rank
+                   for tup in product)
+    slots = list(fiber.slots)
+    slots[3] = slots[3][:1] + other.slots[3][:1]
+    assert not cc.all_smooth_members(SlotProduct(tuple(slots)), _Decisions(cc))
 
 
 def test_distinctness_is_decided_not_assumed():
@@ -621,3 +643,45 @@ def test_distinctness_is_decided_not_assumed():
     members = [cc.contains(tup, decisions) for tup in fiber]
     assert members == [tup[1].x.distance(tup[2].x) > 1e-20 for tup in fiber]
     assert members.count(False) == 2
+    # slots 2 and 3 share their y, so the slot verdict decides the point pairs
+    assert not cc.all_smooth_members(fiber, _Decisions(cc))
+
+
+# -- the rank rule of the slot verdict ------------------------------------------------------
+
+
+def _critical_pair_config():
+    """r = 2 with the offset joining the two branch images (a certificate excludes it)."""
+    curve = GenusTwoCurve(Fraction(1))
+    elliptic = curve.elliptic_quotient()
+    image = [curve.cover(curve.branch_point(sign)) for sign in (+1, -1)]
+    return curve, ConfigurationCurve(curve, [elliptic.sub(image[1], image[0])])
+
+
+def test_slot_verdict_fails_two_vanishing_derivatives():
+    # (bp+, bp-) is a member whose two cover derivatives vanish: rank 0
+    curve, cc = _critical_pair_config()
+    product = cc.fiber_over_first(curve.branch_point(+1))
+    assert product.slots == ((curve.branch_point(+1),), (curve.branch_point(-1),))
+    decisions = _Decisions(cc)
+    assert not cc.all_smooth_members(product, decisions)
+    assert cc.contains(product[0], decisions) and cc.jacobian(product[0], decisions).rank == 0
+
+
+def test_slot_verdict_makes_every_later_zero_test():
+    # slot 2 holds the critical point and a point whose derivative 6*tol
+    # is ambiguous; the walk meets that zero test, so the verdict must too
+    # and not stop at the first vanishing derivative of the slot
+    curve = GenusTwoCurve(Fraction(1))
+    cc = ConfigurationCurve(curve, find_generic_points(curve.elliptic_quotient(), 2).offsets())
+    critical = curve.branch_point(-1)
+    p1 = cc.projection_fiber(2, critical).slots[0][0]
+    x = as_approx(Fraction(3)) * curve.tol
+    near = GenusTwoPoint.affine(x, -as_approx(curve.rhs(x)).sqrt())
+    p1, critical = ConfigTuple((p1, critical)).as_approx(curve.prec, curve.tol)
+    product = SlotProduct(((p1,), (critical, near)))
+    decisions = _Decisions(cc)
+    assert not cc.all_smooth_members(product, decisions)
+    assert cc.contains(product[0], decisions) and cc.contains(product[1], decisions)
+    with pytest.raises(AmbiguousCoincidenceError):
+        cc.jacobian(product[1], decisions)

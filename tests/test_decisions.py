@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kodaira.cli import EXIT_OK, EXIT_PRECISION_EXHAUSTED, EXIT_USAGE, main
-from kodaira.config_curve import ConfigTuple, ConfigurationCurve, _Decisions
+from kodaira.config_curve import ConfigTuple, ConfigurationCurve, _Decisions, _shared_y_apart
 from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint
 from kodaira.generic_points import _exclusion_checks, find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
@@ -147,6 +147,40 @@ def test_contains_above_band_rejects(gap):
     assert not CC2.contains(tuple_missing_by(gap))
 
 
+# -- distinctness of two slots: one decision on their shared y ---------------------------
+
+
+def slots_apart_by(x_gap: float, y_gap: float) -> tuple:
+    """Two slots of choices ``(+-x, y)`` whose x's and y's are the gaps apart."""
+    def slot(x, y):
+        return (GenusTwoPoint.affine(x, y), GenusTwoPoint.affine(-x, y))
+
+    return (slot(approx(1), approx(2)),
+            slot(approx(1) + approx(x_gap * TOL), approx(2) + approx(y_gap * TOL)))
+
+
+@given(ABOVE, st.floats(0, 1e6))
+def test_shared_y_above_band_separates_every_point_pair(y_gap, x_gap):
+    a, b = slots_apart_by(x_gap, y_gap)
+    assert _shared_y_apart(a, b)
+    assert not any(genus2_points_equal(p, q) for p in a for q in b)
+
+
+@given(st.one_of(BELOW, BAND), ABOVE)
+def test_shared_y_below_guard_leaves_the_point_pairs(y_gap, x_gap):
+    # the y's decide nothing, and the x's keep the point pairs apart
+    a, b = slots_apart_by(x_gap, y_gap)
+    assert not _shared_y_apart(a, b)
+    assert _Decisions(CC2).slots_apart(a, b)
+
+
+@given(BELOW, BAND)
+def test_shared_y_tie_decides_an_ambiguous_point_pair(y_gap, x_gap):
+    a, b = slots_apart_by(x_gap, y_gap)
+    with pytest.raises(AmbiguousCoincidenceError):
+        _Decisions(CC2).slots_apart(a, b)
+
+
 # -- the sign of a branch point's last coordinate ---------------------------------------
 
 
@@ -258,15 +292,17 @@ def test_no_general_svd_in_src():
 
 
 def test_one_tuple_enumerator():
-    # projection_fiber is the only code that builds tuples, and membership's
-    # check of one tuple's own coordinates is the only pairwise scan; a second
-    # product, or a pairwise scan over an enumeration, would fork them again
+    # SlotProduct.tuples is the only code that builds tuples; membership's
+    # check of one tuple's own coordinates and the slot verdict's check of
+    # slot pairs are the only pairwise scans.  A second product, or a
+    # pairwise scan over an enumeration's tuples, would fork them again
     path = SRC / "config_curve.py"
     calls = [(node.func.attr, function) for node, function in _nodes_in_functions(path)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "itertools"]
-    allowed = {("product", "projection_fiber"), ("combinations", "contains")}
-    assert ("product", "projection_fiber") in calls
+    allowed = {("product", "tuples"), ("combinations", "contains"),
+               ("combinations", "all_smooth_members")}
+    assert ("product", "tuples") in calls
     assert [c for c in calls if c[0] in ("product", "combinations") and c not in allowed] == []
     assert not any(isinstance(node, ast.ImportFrom) and node.module == "itertools"
                    for node, _ in _nodes_in_functions(path))

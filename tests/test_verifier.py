@@ -3,16 +3,19 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kodaira.verifier as verifier_module
 from kodaira.config_curve import (
     AmbiguousCoincidenceError,
-    ConfigTuple,
     ConfigurationCurve,
+    Enumeration,
+    SlotProduct,
     _Decisions,
 )
 from kodaira.elliptic import points_equal
-from kodaira.scalars import DEFAULT_PREC_BITS
+from kodaira.genus2 import GenusTwoPoint
+from kodaira.scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, ComplexApprox, format_rational
 from kodaira.verifier import (
     PrecisionExhausted,
     lambda_at,
@@ -197,26 +200,142 @@ def test_escalation_rechecks_the_base_configuration(monkeypatch):
 
 
 def test_mutated_branch_tuple_is_recorded_as_a_failure(monkeypatch):
-    # the last of the 2^r branch tuples takes slot 2 from the first tuple,
-    # whose first coordinate differs: the memo, warm from 255 members,
-    # must still decide the mutant's cover condition
-    original = ConfigurationCurve.branch_points
+    # slot 2 of the minus product takes its last choice from the plus
+    # product, whose first coordinates differ: the slot decisions must find
+    # the failing cover condition, and the walk must name every tuple that
+    # holds the mutant choice
+    original = ConfigurationCurve.branch_enumeration
     mutants = []
 
     def one_mutated(self):
-        points = original(self)
-        last = list(points[-1].points)
-        last[1] = points[0][1]
-        mutants.append(ConfigTuple(tuple(last)))
-        return points[:-1] + mutants[-1:]
+        plus, minus = original(self).products
+        slots = list(minus.slots)
+        slots[1] = slots[1][:-1] + plus.slots[1][:1]
+        mutants.append(SlotProduct(tuple(slots)))
+        return Enumeration((plus, mutants[-1]))
 
-    monkeypatch.setattr(ConfigurationCurve, "branch_points", one_mutated)
+    monkeypatch.setattr(ConfigurationCurve, "branch_enumeration", one_mutated)
     run = verify_claim("1/1", 8, samples=0)
     tally = run.tallies["branch_count"]
+    mutant = mutants[0]
     assert run.status == "fail"
-    assert tally.failed == 1 and tally.checked == 2 + 2 ** 8
-    assert run.counterexamples == [{"check": "branch_membership",
-                                    "tuple": mutants[0].to_json_dict()}]
+    assert tally.failed >= 1 and tally.checked == 2 + 2 ** 8
+    assert run.counterexamples == [{"check": "branch_membership", "tuple": tup.to_json_dict()}
+                                   for tup in mutant if tup[1] is mutant.slots[1][-1]]
+    assert {"check": "branch_membership",
+            "tuple": mutant[-1].to_json_dict()} in run.counterexamples
+
+
+_LAMBDAS = st.one_of(
+    # -8 is left out: its genericity search is exhausted, after seconds
+    st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6)).filter(
+        lambda lam: lam not in (0, Fraction(-27, 4), -8)).map(format_rational),
+    st.builds("{},{}".format, st.integers(-20, 20).map(lambda a: a / 10),
+              st.integers(1, 20).map(lambda b: b / 10)))
+_MUTATIONS = st.sampled_from((None, "other-fiber", "repeated-point", "off-curve",
+                              "ambiguous-on-curve", "repeated-offset"))
+
+
+def _near_curve(p: GenusTwoPoint, gap: float) -> GenusTwoPoint:
+    """``p`` with y moved so that its on-curve residual is ``gap * tol``."""
+    shift = ComplexApprox.of(gap * p.y.tol, p.y.prec, p.y.tol) / (2 * p.y)
+    return GenusTwoPoint.affine(p.x, p.y + shift)
+
+
+def _mutated_slots(product: SlotProduct, mutation: str, slot: int, choice: int,
+                   other: SlotProduct) -> SlotProduct:
+    """``product`` with one choice of one slot replaced, as ``mutation`` says.
+
+    ``ambiguous-on-curve`` moves two points into the on-curve ambiguity
+    band, at the base precision only, so the run escalates and passes at
+    twice that: the last choice of slot ``k`` (residual 3 tol) and the
+    first choice of the next later slot (7 tol).  The walk meets the
+    second first, in tuple 0; the verdict, slot by slot, meets the first
+    first unless ``k`` is the last slot.  So the escalation detail tells
+    which order decided.
+    """
+    slots = [list(choices) for choices in product.slots]
+    k = slot % len(slots)
+    c = choice % len(slots[k])
+    p = slots[k][c]
+    if mutation == "other-fiber":
+        slots[k][c] = other.slots[k][0]
+    elif mutation == "repeated-point":
+        slots[k][c] = slots[(k + 1) % len(slots)][0]
+    elif mutation == "off-curve" and not p.is_infinity:
+        slots[k][c] = GenusTwoPoint.affine(p.x, p.y + 1)
+    elif mutation == "ambiguous-on-curve" and all(
+            not q.is_exact and q.x.prec == DEFAULT_PREC_BITS for q in product.slots[0]):
+        k = 1 + slot % (len(slots) - 1)
+        k2 = 1 + k % (len(slots) - 1)
+        slots[k][-1] = _near_curve(slots[k][-1], 3)
+        slots[k2][0] = _near_curve(slots[k2][0], 7)
+    return SlotProduct(tuple(map(tuple, slots)))
+
+
+def _outcome(lam, r, samples, seed, tol):
+    try:
+        return verify_claim(lam, r, samples=samples, seed=seed, tol=tol).to_json_dict()
+    except Exception as exc:  # both paths must fail alike
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@example("1/1", 4, 2, 0, DEFAULT_TOL, "repeated-offset", 0, 0, False)
+@example("0.3,0.7", 4, 1, 0, DEFAULT_TOL, "ambiguous-on-curve", 1, 0, False)
+@example("0.3,0.7", 4, 0, 0, DEFAULT_TOL, "ambiguous-on-curve", 1, 0, True)
+@given(_LAMBDAS, st.integers(2, 6), st.integers(0, 2), st.integers(0, 50),
+       st.sampled_from((DEFAULT_TOL, 1e-2)), _MUTATIONS, st.integers(0, 5),
+       st.integers(0, 1), st.booleans())
+def test_slot_verdict_matches_the_tuple_walk(lam, r, samples, seed, tol, mutation,
+                                             slot, choice, in_branch):
+    # the same run with the slot verdict always falling back to the walk
+    # gives the same tallies, counterexamples and escalations, also when a
+    # slot is mutated; a repeated offset makes two slots share their y's
+    fiber, branch = ConfigurationCurve.fiber_over_first, ConfigurationCurve.branch_enumeration
+    init = ConfigurationCurve.__init__
+
+    def mutated_fiber(self, p1):
+        product = fiber(self, p1)
+        if in_branch or mutation in (None, "repeated-offset"):
+            return product
+        return _mutated_slots(product, mutation, slot, choice,
+                              fiber(self, self.curve.branch_point(-1)))
+
+    def mutated_branch(self):
+        plus, minus = branch(self).products
+        if in_branch and mutation not in (None, "repeated-offset"):
+            minus = _mutated_slots(minus, mutation, slot, choice, plus)
+        return Enumeration((plus, minus))
+
+    def repeated_offset(self, curve, offsets):
+        init(self, curve, offsets[:1] * 2 + offsets[2:] if len(offsets) >= 2 else offsets)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # the projection degrees use no slot verdict, and raise on a repeated offset
+        patch.setattr(verifier_module, "_CHECKS", tuple(
+            check for check in verifier_module._CHECKS if check[0] != "projection_degrees"))
+        patch.setattr(ConfigurationCurve, "fiber_over_first", mutated_fiber)
+        patch.setattr(ConfigurationCurve, "branch_enumeration", mutated_branch)
+        if mutation == "repeated-offset":
+            patch.setattr(ConfigurationCurve, "__init__", repeated_offset)
+        fast = _outcome(lam, r, samples, seed, tol)
+        patch.setattr(ConfigurationCurve, "all_smooth_members", lambda *args: False)
+        walked = _outcome(lam, r, samples, seed, tol)
+    assert fast == walked
+
+
+def test_a_passing_run_walks_no_tuple(monkeypatch):
+    # every enumeration of a passing run is decided from its slots: no
+    # tuple goes through contains or jacobian
+    calls = []
+    for name in ("contains", "jacobian"):
+        original = getattr(ConfigurationCurve, name)
+        monkeypatch.setattr(ConfigurationCurve, name,
+                            lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
+    run = verify_claim("1/1", 8, samples=2)
+    assert run.passed and run.tallies["membership_and_rank"].checked == 2 * 2 ** 7
+    assert calls == []
 
 
 def test_no_decision_memo_outlives_its_enumeration(monkeypatch):
