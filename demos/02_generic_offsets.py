@@ -17,7 +17,7 @@ from kodaira.generic_points import GenericityCertificate
 
 E = EllipticCurve(Fraction(1))
 
-# Default strategy: find one rational point by bounded search, then use
+# Strategy: find one rational point by bounded search, then use
 # stride multiples of it.  Strides 1 and 2 fail for this curve (the
 # double of the base point is exactly the excluded difference), so the
 # search settles on stride 3.

@@ -1,15 +1,16 @@
 """Command-line front end: every pipeline stage, machine-readable output.
 
-Subcommands
------------
-curve-info          discriminant, both j-invariant conventions, the two
-                    cover-critical points and their image difference
-find-points         genericity search, writes the certificate
-verify-config-curve the full numeric verification pipeline
-genus               tower genus, recursion and closed form
-k-squared           intersection-engine derivation with transcript
-invariants          full invariant report
-slope-table         exact slopes for a range of r
+Subcommands and the flags each one reads, besides ``--output``
+--------------------------------------------------------------
+curve-info          --lambda --precision --tol --format {json,text}
+find-points         --r --lambda --precision --tol --bound (--seed)
+verify-config-curve --r --samples --dump-enumeration --lambda --precision --tol --seed
+genus               --r --format {json,text}
+k-squared           --r --gamma --symbolic --format {json,text} (--seed)
+invariants          --r --gamma --deg-cover (--seed)
+slope-table         --r-min --r-max --format {json,csv,text} (--seed)
+
+``(--seed)``: accepted and ignored, as these draw no samples; ``perfbench/run.py`` passes it.
 
 Exit codes: 0 success, 2 usage error (bad flags, invalid or singular
 lambda, odd r where even is required), 3 verification failure,
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .config_curve import ConfigurationCurve, genus
@@ -49,8 +49,6 @@ EXIT_USAGE = 2
 EXIT_VERIFICATION_FAILED = 3
 EXIT_PRECISION_EXHAUSTED = 4
 
-PRECISION_ENV_VAR = "KODAIRA_PRECISION_BITS"
-
 
 def _positive(convert, what: str):
     """An argparse ``type=``: ``convert(text)``, which must be finite and positive."""
@@ -66,62 +64,59 @@ def _positive(convert, what: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda", dest="lam", default="1/1",
-                        help="curve parameter: 'num/den' or 're,im' (default 1/1)")
-    # a string default goes through type=, so a bad environment value is a usage error
-    common.add_argument("--precision", type=_positive(int, "positive integer"),
-                        default=os.environ.get(PRECISION_ENV_VAR, str(DEFAULT_PREC_BITS)),
-                        help="working precision in bits (default 256, "
-                             f"or ${PRECISION_ENV_VAR})")
-    common.add_argument("--tol", type=_positive(float, "positive finite number"),
-                        default=DEFAULT_TOL,
-                        help="equality tolerance for approximate arithmetic")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--bound", type=int, default=30,
-                        help="height bound for the rational point search")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--output", default=None, help="write to file instead of stdout")
-
     parser = argparse.ArgumentParser(
         prog="kodaira",
         description="construct the fibred-surface family and verify its invariants")
     sub = parser.add_subparsers(dest="command", required=True)
+    unused_seed = "ignored: this command draws no samples"
 
-    sub.add_parser("curve-info", parents=[common],
-                   help="discriminant, j-invariants, cover data")
+    def command(name: str, help: str, *required, formats=(), curve=False, seed=None):
+        """A subcommand with ``--output``, the int flags ``required`` and the flags asked for."""
+        p = sub.add_parser(name, help=help)
+        for flag in required:
+            p.add_argument(flag, type=int, required=True)
+        if curve:
+            p.add_argument("--lambda", dest="lam", default="1/1",
+                           help="curve parameter: 'num/den' or 're,im' (default 1/1)")
+            p.add_argument("--precision", type=_positive(int, "positive integer"),
+                           default=DEFAULT_PREC_BITS, help="bits of precision (default 256)")
+            p.add_argument("--tol", type=_positive(float, "positive finite number"),
+                           default=DEFAULT_TOL, help="tolerance of approximate equality")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help=seed)
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        return p
 
-    p = sub.add_parser("find-points", parents=[common],
-                       help="search generic offsets, emit certificate")
-    p.add_argument("--r", type=int, required=True)
+    command("curve-info", "discriminant, j-invariants, cover data",
+            formats=("json", "text"), curve=True)
 
-    p = sub.add_parser("verify-config-curve", parents=[common],
-                       help="run the verification pipeline")
-    p.add_argument("--r", type=int, required=True)
+    p = command("find-points", "search generic offsets, emit certificate", "--r",
+                curve=True, seed=unused_seed)
+    p.add_argument("--bound", type=int, default=30,
+                   help="height bound for the rational point search")
+
+    p = command("verify-config-curve", "run the verification pipeline", "--r",
+                curve=True, seed="sampling seed")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dump-enumeration", default=None,
                    help="also write the branch points the run checked, as CSV")
 
-    p = sub.add_parser("genus", parents=[common],
-                       help="tower genus: recursion and closed form")
-    p.add_argument("--r", type=int, required=True)
+    command("genus", "tower genus: recursion and closed form", "--r", formats=("json", "text"))
 
-    p = sub.add_parser("k-squared", parents=[common],
-                       help="canonical self-intersection derivation")
+    p = command("k-squared", "canonical self-intersection derivation",
+                formats=("json", "text"), seed=unused_seed)
     p.add_argument("--gamma", type=int, default=None)
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--r", type=int, default=None)
 
-    p = sub.add_parser("invariants", parents=[common], help="full invariant report")
-    p.add_argument("--r", type=int, required=True)
+    p = command("invariants", "full invariant report", "--r", seed=unused_seed)
     p.add_argument("--gamma", type=int, default=None)
     p.add_argument("--deg-cover", type=int, default=None)
 
-    p = sub.add_parser("slope-table", parents=[common],
-                       help="exact slope values over a range")
-    p.add_argument("--r-min", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-
+    command("slope-table", "exact slope values over a range", "--r-min", "--r-max",
+            formats=("json", "csv", "text"), seed=unused_seed)
     return parser
 
 

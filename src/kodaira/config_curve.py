@@ -90,6 +90,14 @@ class MixedKindError(ValueError):
     """A tuple mixes exact and approximate coordinates."""
 
 
+class FiberSizesDisagree(RuntimeError):
+    """Projection fibers of different sizes; ``counts`` maps each fiber to its size."""
+
+    def __init__(self, counts: dict):
+        super().__init__(f"projection fiber sizes disagree: {counts}")
+        self.counts = counts
+
+
 @dataclass(frozen=True)
 class ConfigTuple:
     """Candidate member of the configuration curve: r genus-2 points."""
@@ -363,7 +371,7 @@ class ConfigurationCurve:
             return False  # the walk rejects or raises per tuple
         first, later = slots[0], slots[1:]
         try:
-            # on-curve first: the cover and its derivative raise off the curve
+            # on-curve first: the cover raises off the curve
             return (all(decisions.on_curve(p) for p in points)
                     and all(decisions.covers(i, p1, p) for p1 in first
                             for i, choices in enumerate(later, start=2) for p in choices)
@@ -460,10 +468,9 @@ class ConfigurationCurve:
         ``samples`` generic points.  A draw is ramified -- and re-drawn --
         when some *other* slot's elliptic target lands on a branch image.
         That slot's fiber is then the one cover-critical point over it, so
-        the draw is ramified iff the first tuple holds a cover-critical
-        point in a slot other than ``j``; the count itself is never used
-        to decide a re-draw.  Returns the common cardinality or
-        raises on disagreement.
+        the draw is ramified iff a slot other than ``j`` has one choice;
+        the count itself is never used to decide a re-draw.  Returns the
+        common cardinality or raises :class:`FiberSizesDisagree`.
         """
         if j == self.r:
             critical = self._critical_fibers
@@ -483,14 +490,14 @@ class ConfigurationCurve:
             if pt is None:
                 continue
             fiber = self.projection_fiber(j, pt)
-            if any(self.curve.is_branch_point(p)
-                   for i, p in enumerate(fiber[0], start=1) if i != j):
+            if any(len(choices) == 1
+                   for i, choices in enumerate(fiber.slots, start=1) if i != j):
                 continue  # ramified draw, re-draw
             counts[f"sample{drawn}"] = len(fiber)
             drawn += 1
         values = set(counts.values())
         if len(values) != 1:
-            raise RuntimeError(f"projection fiber sizes disagree: {counts}")
+            raise FiberSizesDisagree(counts)
         return values.pop()
 
     # -- reports ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ the elliptic curve such that every ``e_i`` and every difference
 finds such points and records every comparison in a self-contained,
 re-verifiable certificate.
 
-Default strategy: locate one rational point ``P`` by searching x
+Strategy: locate one rational point ``P`` by searching x
 coordinates of bounded height, then take ``e_i = [stride * i] P`` for the
 smallest stride whose exclusion checks all pass.  No torsion or rank
 assumption is made -- each exclusion is decided by evaluating the group
@@ -36,6 +36,7 @@ from .scalars import (
 )
 
 EXCLUDED_NAMES = ("infinity", "delta", "neg_delta")
+MAX_STRIDE = 200  # strides tried per base point
 
 
 class SearchExhausted(RuntimeError):
@@ -158,23 +159,18 @@ def find_rational_point(curve: EllipticCurve, bound: int):
     return None
 
 
-def _base_point_ladder(curve: EllipticCurve, strategy: str, bound: int):
+def _base_point_ladder(curve: EllipticCurve, bound: int):
     """Base-point candidates in decreasing order of preference.
 
-    Rational point of small height first, then the known point
-    ``(0, sqrt(lam))`` in the exact tower, finally the same point in
+    A rational point of height at most ``bound`` first (rational ``lam``
+    only), then the known point ``(0, sqrt(lam))`` in the exact tower, finally the same point in
     complex approximation (covers a torsion rational point or torsion
     multiples of the known point).  So an approximate candidate is
     always the known point; :func:`base_point_at` relies on that.
     """
-    if strategy in ("auto", "rational") and isinstance(curve.lam, Fraction):
-        found = find_rational_point(curve, bound)
-        if found is not None:
-            yield found
-        if strategy == "rational":
-            if found is None:
-                raise SearchExhausted(f"no rational point with height bound {bound}")
-            return
+    found = find_rational_point(curve, bound)
+    if found is not None:
+        yield found
     known = curve.branch_image(+1)
     yield known
     if not is_approx(known.y):
@@ -220,24 +216,23 @@ def certify_stride(curve: EllipticCurve, r: int, base: EllipticPoint,
     )
 
 
-def find_generic_points(curve: EllipticCurve, r: int, strategy: str = "auto",
-                        bound: int = 30, max_stride: int = 200) -> GenericityCertificate:
+def find_generic_points(curve: EllipticCurve, r: int, bound: int = 30) -> GenericityCertificate:
     """Offsets ``e_2..e_r`` passing all exclusions, with full certificate.
 
-    Sweeps strides over each base-point candidate in turn; every
-    exclusion is decided by evaluation, so a torsion base simply fails
-    its strides and the search moves down the ladder.  Raises
-    :class:`SearchExhausted` when no combination passes.
+    Sweeps strides up to :data:`MAX_STRIDE` over each base-point
+    candidate in turn; every exclusion is decided by evaluation, so a
+    torsion base simply fails its strides and the search moves down the
+    ladder.  Raises :class:`SearchExhausted` when no combination passes.
     """
     if r < 2:
         raise ValueError("r must be at least 2")
 
-    for base in _base_point_ladder(curve, strategy, bound):
-        for stride in range(1, max_stride + 1):
+    for base in _base_point_ladder(curve, bound):
+        for stride in range(1, MAX_STRIDE + 1):
             cert = certify_stride(curve, r, base, stride)
             if cert.all_passed:
                 return cert
-    raise SearchExhausted(f"no stride up to {max_stride} passed the exclusions")
+    raise SearchExhausted(f"no stride up to {MAX_STRIDE} passed the exclusions")
 
 
 def verify_certificate(cert: GenericityCertificate) -> bool:

@@ -173,7 +173,6 @@ class GenusTwoCurve:
         the standard local coordinate downstairs); only nonvanishing --
         and hence any fixed nonzero value -- matters to rank checks.
         """
-        self._require(p)
         if p.is_infinity:
             return Fraction(p.infinity_sign)
         return 2 * p.x

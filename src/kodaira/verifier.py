@@ -24,7 +24,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config_curve import ConfigurationCurve, _Decisions, genus, sample_genus2_point
+from .config_curve import (ConfigurationCurve, FiberSizesDisagree, _Decisions, genus,
+                           sample_genus2_point)
 from .elliptic import SingularCurveError
 from .generic_points import (
     base_point_at,
@@ -260,12 +261,15 @@ def _check_projection_degrees(ctx: _Context, run: VerificationRun, tally: CheckT
     expected = 2 ** (r - 1)
     indices = sorted({1, 2 if r >= 2 else 1, r})
     for j in indices:
-        got = config.projection_degree_estimate(j, samples=3, seed=run.seed)
-        ok = got == expected
+        try:
+            found = {"found": config.projection_degree_estimate(j, samples=3, seed=run.seed)}
+        except FiberSizesDisagree as exc:
+            found = {"counts": exc.counts}  # no common size
+        ok = found.get("found") == expected
         tally.record(ok)
         if not ok:
             run.counterexamples.append({"check": "projection_degrees",
-                                        "j": j, "expected": expected, "found": got})
+                                        "j": j, "expected": expected, **found})
     tally.info["expected"] = expected
     tally.info["indices"] = indices
 

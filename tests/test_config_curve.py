@@ -607,9 +607,8 @@ def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
     assert cc.all_smooth_members(other, _Decisions(cc))
     assert calls["add"] <= 2 * (r - 1)
     assert calls["distinct"] <= r * (r - 1) // 2
-    # per distinct point: the on-curve decision and the checks inside
-    # cover() and cover_derivative()
-    assert calls["on-curve"] <= 3 * (1 + 2 * (r - 1))
+    # per distinct point: the on-curve decision and the check inside cover()
+    assert calls["on-curve"] <= 2 * (1 + 2 * (r - 1))
 
 
 def test_slot_verdict_agrees_with_the_walk(warm_r8):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from kodaira import generic_points
 from kodaira.elliptic import EllipticCurve, EllipticPoint
 from kodaira.generic_points import (
     GenericityCertificate,
@@ -155,24 +156,15 @@ def test_ambiguous_delta_match_raises():
         verify_certificate(cert)
 
 
-def test_rational_strategy_exhaustion():
-    # a curve chosen to have no small rational point in a tiny search box
-    curve = EllipticCurve(Fraction(6))
-    found = find_rational_point(curve, bound=2)
-    if found is None:
-        with pytest.raises(SearchExhausted):
-            find_generic_points(curve, 3, strategy="rational", bound=2)
-    else:
-        pytest.skip("parameter has a small rational point after all")
-
-
-def test_ladder_exhausts_all_bases(curve1):
+def test_ladder_exhausts_all_bases(curve1, monkeypatch):
     # with the stride budget capped below the first passing stride every
     # rung of the base-point ladder fails by evaluation, including the
     # complex-approximation fallback
+    monkeypatch.setattr(generic_points, "MAX_STRIDE", 2)
     with pytest.raises(SearchExhausted):
-        find_generic_points(curve1, 4, max_stride=2)
-    cert = find_generic_points(curve1, 4, max_stride=3)
+        find_generic_points(curve1, 4)
+    monkeypatch.setattr(generic_points, "MAX_STRIDE", 3)
+    cert = find_generic_points(curve1, 4)
     assert cert.stride == 3
 
 

@@ -10,11 +10,13 @@ from kodaira.config_curve import (
     AmbiguousCoincidenceError,
     ConfigurationCurve,
     Enumeration,
+    FiberSizesDisagree,
     SlotProduct,
     _Decisions,
 )
 from kodaira.elliptic import points_equal
-from kodaira.genus2 import GenusTwoPoint
+from kodaira.generic_points import find_generic_points
+from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
 from kodaira.scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, ComplexApprox, format_rational
 from kodaira.verifier import (
     PrecisionExhausted,
@@ -312,7 +314,7 @@ def test_slot_verdict_matches_the_tuple_walk(lam, r, samples, seed, tol, mutatio
         init(self, curve, offsets[:1] * 2 + offsets[2:] if len(offsets) >= 2 else offsets)
 
     with pytest.MonkeyPatch.context() as patch:
-        # the projection degrees use no slot verdict, and raise on a repeated offset
+        # the projection degrees use no slot verdict
         patch.setattr(verifier_module, "_CHECKS", tuple(
             check for check in verifier_module._CHECKS if check[0] != "projection_degrees"))
         patch.setattr(ConfigurationCurve, "fiber_over_first", mutated_fiber)
@@ -357,3 +359,45 @@ def test_no_decision_memo_outlives_its_enumeration(monkeypatch):
     assert len(made) >= 4  # a fiber per accepted draw and the branch list, per run
     assert max(alive) <= 1
     assert [ref() for ref in made] == [None] * len(made)
+
+
+def test_off_curve_slot_choice_fails_the_run(monkeypatch):
+    # a fiber slot holding (x, y+1): the run fails instead of raising, and its
+    # counterexamples are exactly the tuples holding that point, as non-members
+    fiber = ConfigurationCurve.fiber_over_first
+    mutated = []
+
+    def off_curve_fiber(self, p1):
+        mutated.append(_mutated_slots(fiber(self, p1), "off-curve", 2, 1, None))
+        return mutated[-1]
+
+    monkeypatch.setattr(ConfigurationCurve, "fiber_over_first", off_curve_fiber)
+    run = verify_claim("1/1", 4, samples=1)
+    assert run.status == "fail"
+    [product] = mutated
+    mutant = product.slots[2][1]
+    found = [c for c in run.counterexamples if c["check"] == "membership_and_rank"]
+    assert [c["tuple"] for c in found] == [t.to_json_dict() for t in product if mutant in t]
+    assert len(found) == len(product) // 2
+    assert not any(c["member"] for c in found)
+
+
+def test_disagreeing_projection_fibers_fail_the_run(monkeypatch):
+    # a repeated offset [e2, e2] gives the critical fibers over slot 2 half
+    # the size of the sampled ones: a failed tally with the per-fiber sizes
+    init = ConfigurationCurve.__init__
+    monkeypatch.setattr(ConfigurationCurve, "__init__",
+                        lambda self, curve, offsets: init(self, curve, offsets[:1] * 2 + offsets[2:]))
+    run = verify_claim("1/1", 4, samples=1)
+    assert run.status == "fail"
+    assert run.tallies["projection_degrees"].failed == 1
+    [found] = [c for c in run.counterexamples if c["check"] == "projection_degrees"]
+    assert found["j"] == 2 and found["expected"] == 8
+    assert found["counts"] == {"critical+1": 4, "critical-1": 4,
+                               "sample0": 8, "sample1": 8, "sample2": 8}
+    # a direct caller still gets the raise
+    curve = GenusTwoCurve(Fraction(1))
+    config = ConfigurationCurve(curve, find_generic_points(curve.elliptic_quotient(), 4).offsets())
+    with pytest.raises(FiberSizesDisagree) as excinfo:
+        config.projection_degree_estimate(2, samples=3)
+    assert excinfo.value.counts == found["counts"]
