@@ -34,7 +34,6 @@ Jacobian arrowhead depends only on which cover derivatives vanish
 (:func:`arrowhead_rank`), so it is ``r - 1`` on every tuple iff at most
 one slot ``i >= 2`` holds a choice with vanishing derivative and, if one
 does, no slot-1 choice has one.
-:meth:`~ConfigurationCurve.all_smooth_members` makes these decisions.
 
 Distinctness of two slots is decided on their shared ``y``.  Both choices
 of a fiber are ``(+-x, y)`` over one ``y``, and the point decision
@@ -48,16 +47,14 @@ infinity, each point pair is decided instead.  Cover images would not
 do: ``x -> x^2`` stretches distances by ``2|x|``, so points less than
 ``tol`` apart can have images ten tolerances apart.
 
-Every decision goes through a memo scoped to one enumeration
-(:class:`_Decisions`), which makes it on first use: on-curve per point,
-the expected image ``cover(p_1) + e_i`` per ``(i, p_1)``, the cover
-condition per ``(i, p_1, p_i)``, distinctness per slot-ordered pair
-``(p_i, p_j)``, the cover derivative and its zero test per point, and the
-branch sign per last coordinate.  When a slot decision fails or is
-ambiguous, the caller walks the tuples through
-:meth:`~ConfigurationCurve.contains` and
-:meth:`~ConfigurationCurve.jacobian` on the same memo, which names every
-failing tuple and meets an ambiguous decision in tuple order.
+:meth:`ConfigurationCurve.slot_facts` makes each of these decisions once
+into a :class:`SlotFacts` table, which stores its outcome: the value, or
+the exception the decision raised.  :meth:`SlotFacts.all_hold` reads the
+whole table.  When it fails, :meth:`SlotFacts.member` and
+:meth:`SlotFacts.rank` read one tuple's outcomes in the order a
+tuple-by-tuple walk meets them and re-raise a stored exception there, so
+every failing tuple is named, and an ambiguity no tuple meets is never
+raised.
 """
 
 from __future__ import annotations
@@ -143,7 +140,7 @@ class SlotProduct:
 
     ``slots`` holds each slot's certified choices.  No tuple is stored:
     ``len`` multiplies the slot sizes, an index is decomposed slot by
-    slot, and iteration is :meth:`tuples`.
+    slot, and iteration reads :meth:`indexed`.
     """
 
     slots: tuple
@@ -160,11 +157,16 @@ class SlotProduct:
         return ConfigTuple(tuple(reversed(picked)))
 
     def __iter__(self):
-        return self.tuples()
+        return (tup for _, tup in self.indexed())
 
-    def tuples(self):
-        """The tuples in ``itertools.product`` order: the last slot varies fastest."""
-        return (ConfigTuple(combo) for combo in itertools.product(*self.slots))
+    def indexed(self):
+        """``(picks, tuple)`` in ``itertools.product`` order: the last slot varies fastest.
+
+        ``picks`` holds the index of each slot's choice in the tuple.
+        """
+        for combo in itertools.product(*map(enumerate, self.slots)):
+            picks, points = zip(*combo)
+            yield picks, ConfigTuple(points)
 
 
 @dataclass(frozen=True)
@@ -293,32 +295,20 @@ class ConfigurationCurve:
 
     # -- membership ---------------------------------------------------------------
 
-    def contains(self, tup: ConfigTuple, decisions: "_Decisions" = None) -> bool:
+    def contains(self, tup: ConfigTuple) -> bool:
         """Full membership test: on-curve, cover conditions, distinctness.
 
         Mixed exact/approximate coordinate kinds are rejected outright.
-        Each decision is looked up in ``decisions``, the memo of the
-        enumeration ``tup`` belongs to, and made there once: on-curve per
-        point, the expected image ``cover(p_1) + e_i`` per ``(i, p_1)``, the
-        cover condition per ``(i, p_1, p_i)`` and distinctness per
-        slot-ordered pair ``(p_i, p_j)``, ``i < j``.  Distinctness is
-        decided per slot pair, not assumed from the genericity certificate
-        (whose offsets make the images ``cover(p_1) + e_i`` pairwise
-        distinct): a tuple that repeats a point must fail here.  Without a
-        memo the call makes its own, so one call decides everything once.
+        Decided as the product with one choice per slot, by
+        :meth:`slot_facts`.  Distinctness is decided per slot pair, not
+        assumed from the genericity certificate (whose offsets make the
+        images ``cover(p_1) + e_i`` pairwise distinct): a tuple that
+        repeats a point must fail here.
         """
         if len(tup) != self.r:
             return False
-        if not tup.kinds_uniform():
-            raise MixedKindError("tuple mixes exact and approximate coordinates")
-        known = _Decisions(self) if decisions is None else decisions
-        if not all(known.on_curve(p) for p in tup):
-            return False
-        p1 = tup[0]
-        if not all(known.covers(i, p1, p) for i, p in enumerate(tup.points[1:], start=2)):
-            return False
-        # tuples with two coincident coordinates are excluded by definition
-        return not any(known.coincide(p, q) for p, q in itertools.combinations(tup, 2))
+        one = SlotProduct(tuple((p,) for p in tup))
+        return self.slot_facts(one).member((0,) * self.r)
 
     # -- fibers over the first coordinate ------------------------------------------
 
@@ -328,7 +318,7 @@ class ConfigurationCurve:
 
     # -- Jacobian and rank -----------------------------------------------------------
 
-    def jacobian(self, tup: ConfigTuple, decisions: "_Decisions" = None) -> JacobianReport:
+    def jacobian(self, tup: ConfigTuple) -> JacobianReport:
         """The (r-1) x r Jacobian of the defining map at a member tuple.
 
         Row ``i-1`` expresses the condition on slot ``i``: its first
@@ -336,50 +326,55 @@ class ConfigurationCurve:
         ``d(cover)/dx`` at ``p_i`` (value ``2x`` in the affine chart, a
         unit at the chart boundary); all other entries vanish.  The rank
         of this arrowhead is counted structurally by :func:`arrowhead_rank`,
-        for exact and approximate tuples alike.  The derivative and its
-        zero test are decided once per point, and the entry ``-d_1`` once
-        per ``p_1``, in ``decisions`` as in :meth:`contains`.
+        for exact and approximate tuples alike.
         """
-        known = _Decisions(self) if decisions is None else decisions
         r = self.r
-        derivs = [known.derivative(p) for p in tup]
-        first = known.negated_derivative(tup[0])
+        derivs = [self.curve.cover_derivative(p) for p in tup]
+        first = -derivs[0]
         matrix = [[first] + [derivs[i] if k == i else _ZERO for k in range(1, r)]
                   for i in range(1, r)]
-        rank = arrowhead_rank(derivs, known.is_zero)
+        rank = arrowhead_rank(derivs)
         return JacobianReport(matrix, rank, full_rank=(rank == r - 1))
 
     # -- a whole enumeration from its slots --------------------------------------------
 
-    def all_smooth_members(self, product: SlotProduct, decisions: "_Decisions") -> bool:
-        """Whether every tuple of ``product`` is a member of Jacobian rank ``r - 1``.
+    def slot_facts(self, product: SlotProduct) -> "SlotFacts":
+        """Every decision about the tuples of ``product``, each made once.
 
-        Decided from the slots (see the module docstring), each decision
-        once in ``decisions``: on-curve per choice, the cover condition
-        per (slot-1 choice, slot-i choice), distinctness per slot pair and
-        the derivative zero test per choice, for slot 1 only when a later
-        slot has a vanishing derivative.  Walking the tuples through
-        :meth:`contains` and :meth:`jacobian` makes these decisions and no
-        other that can raise, so True means that walk passes every tuple.
-        False means some decision failed or was ambiguous, and only the
-        walk says which tuples fail; a decision that raised is not stored,
-        so the walk meets it again in tuple order.
+        On-curve, the cover image and the zero test of the cover
+        derivative per choice; the expected image ``cover(p_1) + e_i``
+        per (slot ``i``, slot-1 choice); the cover condition per (slot
+        ``i``, slot-1 choice, slot-``i`` choice); coincidence per pair of
+        choices from two slots, all four pairs at once when the slots'
+        shared ``y`` separates them.  A decision that raises stores its
+        exception (see :class:`SlotFacts`).
         """
         slots = product.slots
-        points = tuple(p for choices in slots for p in choices)
-        if len(slots) != self.r or not ConfigTuple(points).kinds_uniform():
-            return False  # the walk rejects or raises per tuple
-        first, later = slots[0], slots[1:]
-        try:
-            # on-curve first: the cover raises off the curve
-            return (all(decisions.on_curve(p) for p in points)
-                    and all(decisions.covers(i, p1, p) for p1 in first
-                            for i, choices in enumerate(later, start=2) for p in choices)
-                    and all(decisions.slots_apart(a, b)
-                            for a, b in itertools.combinations(slots, 2))
-                    and _full_rank_everywhere(first, later, decisions))
-        except AmbiguousCoincidenceError:
-            return False
+        curve, add = self.curve, self.elliptic.add
+        on_curve, images, zero = {}, {}, {}
+        for s, choices in enumerate(slots):
+            for c, p in enumerate(choices):
+                on_curve[s, c] = _outcome(curve.contains, p)
+                images[s, c] = _outcome(curve.cover, p)
+                zero[s, c] = _outcome(scalar_is_zero, curve.cover_derivative(p))
+        covers = {}
+        for s, e in enumerate(self.offsets, start=1):
+            for c1 in range(len(slots[0])):
+                expected = _outcome(lambda: add(_read(images[0, c1]), e))
+                for c in range(len(slots[s])):
+                    covers[s, c1, c] = _outcome(_cover_condition, expected, images[s, c])
+        coincide = {}
+        for a, b in itertools.combinations(range(len(slots)), 2):
+            apart = _shared_y_apart(slots[a], slots[b])
+            for ca, p in enumerate(slots[a]):
+                for cb, q in enumerate(slots[b]):
+                    coincide[a, ca, b, cb] = False if apart else _outcome(
+                        genus2_points_equal, p, q, "membership-distinctness")
+        return SlotFacts(slots, on_curve, covers, coincide, zero)
+
+    def branch_sign(self, p: GenusTwoPoint) -> int:
+        """``+1`` if ``p`` is the critical point ``(0, +sqrt(lam))``, else ``-1``."""
+        return +1 if genus2_points_equal(p, self.curve.branch_point(+1), "branch-sign") else -1
 
     # -- branch points of the forget-last-coordinate tower ------------------------------
 
@@ -575,19 +570,6 @@ def sample_genus2_point(curve: GenusTwoCurve, rng) -> GenusTwoPoint:
     return GenusTwoPoint.affine(x, y)
 
 
-def _full_rank_everywhere(first: tuple, later: tuple, known: "_Decisions") -> bool:
-    """:func:`arrowhead_rank` is ``r - 1`` on every tuple of the slot product.
-
-    Every zero test of a later slot is made, as the walk makes it on every
-    tuple; slot 1's only when one later slot holds a vanishing derivative,
-    as the walk makes it only on the tuples holding that choice.
-    """
-    vanishing = sum(any([known.is_zero(known.derivative(p)) for p in choices])
-                    for choices in later)
-    return vanishing == 0 or (vanishing == 1 and not any(
-        known.is_zero(known.derivative(p)) for p in first))
-
-
 def _shared_y_apart(a: tuple, b: tuple) -> bool:
     """Whether the shared ``y`` of two slots certifies all their point pairs distinct.
 
@@ -614,79 +596,84 @@ def arrowhead_rank(derivs: list, is_zero=scalar_is_zero) -> int:
     return n + int(n < len(derivs) - 1 and not is_zero(derivs[0]))
 
 
-class _Decisions:
-    """The decisions about the points of one enumeration, each made once.
+@dataclass(frozen=True)
+class SlotFacts:
+    """The outcome of every decision about one slot product, made by
+    :meth:`ConfigurationCurve.slot_facts`.
 
-    Keyed by the ``id()`` of the points (and scalars) decided on; every
-    entry keeps those objects, so an id cannot be reused while the memo
-    lives.  A decision that raises is not stored: the check that made it
-    is abandoned and its memo with it.  One memo serves one enumeration --
-    a :meth:`ConfigurationCurve.fiber_over_first` product or the
-    :meth:`ConfigurationCurve.branch_enumeration` -- and is dropped with it.
+    An outcome is the decision's value or the exception it raised, keyed
+    by slot ``s`` and choice ``c`` (0-based): ``on_curve[s, c]``,
+    ``zero[s, c]`` (the cover derivative vanishes), ``covers[s, c1, c]``
+    (the cover condition of slot ``s`` against slot-1 choice ``c1``) and
+    ``coincide[a, ca, b, cb]`` for slots ``a < b``.  A tuple is named by
+    its ``picks``, one choice index per slot.  Reading an outcome raises
+    its exception, so only a decision that a reader meets can raise.
     """
 
-    def __init__(self, config: ConfigurationCurve):
-        self.curve = config.curve
-        self.elliptic = config.elliptic
-        self.offsets = config.offsets
-        self._memo = {}
+    slots: tuple
+    on_curve: dict
+    covers: dict
+    coincide: dict
+    zero: dict
 
-    def _once(self, key, decide, *args):
-        """``decide(*args)``, made on the first call for ``key`` and kept with ``args``."""
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = (decide(*args), args)
-        return entry[0]
+    def all_hold(self) -> bool:
+        """Whether every tuple is a member of Jacobian rank ``r - 1``.
 
-    def on_curve(self, p: GenusTwoPoint) -> bool:
-        return self._once(("on-curve", id(p)), self.curve.contains, p)
-
-    def cover(self, p: GenusTwoPoint):
-        return self._once(("cover", id(p)), self.curve.cover, p)
-
-    def expected_image(self, i: int, p1: GenusTwoPoint):
-        """``cover(p_1) + e_i``: the image slot ``i`` must have."""
-        return self._once(("image", i, id(p1)), self._expected_image, i, p1)
-
-    def _expected_image(self, i, p1):
-        return self.elliptic.add(self.cover(p1), self.offsets[i - 2])
-
-    def covers(self, i: int, p1: GenusTwoPoint, p: GenusTwoPoint) -> bool:
-        """The cover condition of slot ``i``: ``cover(p) = cover(p_1) + e_i``."""
-        return self._once(("covers", i, id(p1), id(p)), self._covers, i, p1, p)
-
-    def _covers(self, i, p1, p):
-        expected = self.expected_image(i, p1)
-        return points_equal(self.cover(p), expected, "membership-cover-condition")
-
-    def coincide(self, p: GenusTwoPoint, q: GenusTwoPoint) -> bool:
-        """Whether ``p`` and a point ``q`` of a later slot coincide."""
-        return self._once(("coincide", id(p), id(q)), genus2_points_equal,
-                          p, q, "membership-distinctness")
-
-    def slots_apart(self, a: tuple, b: tuple) -> bool:
-        """Whether no choice of slot ``a`` coincides with one of a later slot ``b``.
-
-        One decision on the shared ``y`` when that separates the slots,
-        otherwise one per point pair, as :meth:`coincide` decides it.
+        True only when the product's coordinate kinds agree, no outcome
+        raised, every choice is on the curve and meets its cover
+        conditions, no two choices coincide, and at most one later slot
+        has a vanishing derivative, and then no slot-1 choice does.  So
+        True means :meth:`member` and :meth:`rank` pass every tuple.
         """
-        return _shared_y_apart(a, b) or not any(self.coincide(p, q) for p in a for q in b)
+        tables = (self.on_curve, self.covers, self.coincide, self.zero)
+        if (not ConfigTuple(tuple(p for choices in self.slots for p in choices)).kinds_uniform()
+                or any(isinstance(o, Exception) for t in tables for o in t.values())):
+            return False
+        later = {s for (s, _), zero in self.zero.items() if zero and s}
+        first = any(zero for (s, _), zero in self.zero.items() if not s)
+        return (all(self.on_curve.values()) and all(self.covers.values())
+                and not any(self.coincide.values())
+                and (not later or len(later) == 1 and not first))
 
-    def derivative(self, p: GenusTwoPoint):
-        return self._once(("derivative", id(p)), self.curve.cover_derivative, p)
+    def member(self, picks: tuple) -> bool:
+        """:meth:`ConfigurationCurve.contains` of one tuple, read from the table.
 
-    def negated_derivative(self, p: GenusTwoPoint):
-        return self._once(("negated-derivative", id(p)), self._negated_derivative, p)
+        In the order the conditions are checked on one tuple: its kinds
+        (a mix raises :class:`MixedKindError`), on-curve per slot, the
+        cover conditions, then the slot pairs in ``combinations`` order.
+        """
+        points = tuple(choices[c] for choices, c in zip(self.slots, picks))
+        if not ConfigTuple(points).kinds_uniform():
+            raise MixedKindError("tuple mixes exact and approximate coordinates")
+        if not all(_read(self.on_curve[s, c]) for s, c in enumerate(picks)):
+            return False
+        c1 = picks[0]
+        if not all(_read(self.covers[s, c1, c]) for s, c in enumerate(picks) if s):
+            return False
+        return not any(_read(self.coincide[a, ca, b, cb]) for (a, ca), (b, cb)
+                       in itertools.combinations(enumerate(picks), 2))
 
-    def _negated_derivative(self, p):
-        return -self.derivative(p)
+    def rank(self, picks: tuple) -> int:
+        """The Jacobian rank of one tuple, its zero tests read in :func:`arrowhead_rank` order."""
+        return arrowhead_rank([self.zero[s, c] for s, c in enumerate(picks)], _read)
 
-    def is_zero(self, d) -> bool:
-        return self._once(("zero", id(d)), scalar_is_zero, d)
 
-    def branch_sign(self, p: GenusTwoPoint) -> int:
-        """``+1`` if ``p`` is the critical point ``(0, +sqrt(lam))``, else ``-1``."""
-        return self._once(("branch-sign", id(p)), self._branch_sign, p)
+def _outcome(decide, *args):
+    """``decide(*args)``, or the exception it raised."""
+    try:
+        return decide(*args)
+    except Exception as exc:
+        return exc
 
-    def _branch_sign(self, p):
-        return +1 if genus2_points_equal(p, self.curve.branch_point(+1), "branch-sign") else -1
+
+def _read(outcome):
+    """The value of an outcome; a stored exception is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _cover_condition(expected, image) -> bool:
+    """``image = expected`` for the outcomes of an expected and a cover image."""
+    expected = _read(expected)
+    return points_equal(_read(image), expected, "membership-cover-condition")

@@ -69,6 +69,9 @@ class EllipticCurve:
     def __init__(self, lam, prec: int = DEFAULT_PREC_BITS, tol: float = DEFAULT_TOL):
         if isinstance(lam, int):
             lam = Fraction(lam)
+        if tol < 2.0 ** -prec:
+            raise ValueError(f"tol {tol!r} is below 2**-{prec}, finer than {prec} bits "
+                             "resolve: raise the tolerance or the precision")
         self.lam = lam
         self.prec = prec
         self.tol = tol

@@ -24,8 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config_curve import (ConfigurationCurve, FiberSizesDisagree, _Decisions, genus,
-                           sample_genus2_point)
+from .config_curve import ConfigurationCurve, FiberSizesDisagree, genus, sample_genus2_point
 from .elliptic import SingularCurveError
 from .generic_points import (
     base_point_at,
@@ -188,20 +187,20 @@ def _check_membership_and_rank(ctx: _Context, run: VerificationRun, tally: Check
         if p1 is None:
             continue
         fiber = config.fiber_over_first(p1)
-        decisions = _Decisions(config)  # scoped to this fiber
-        if config.all_smooth_members(fiber, decisions):
+        facts = config.slot_facts(fiber)
+        if facts.all_hold():
             tally.record(True, n=len(fiber))
             continue
-        for tup in fiber:  # some tuple fails or is ambiguous: find it
-            ok_member = config.contains(tup, decisions)
-            report = config.jacobian(tup, decisions)
-            ok_rank = report.rank == want_rank
+        for picks, tup in fiber.indexed():  # some tuple fails or is ambiguous: find it
+            ok_member = facts.member(picks)
+            rank = facts.rank(picks)
+            ok_rank = rank == want_rank
             tally.record(ok_member and ok_rank)
             if not (ok_member and ok_rank):
                 run.counterexamples.append({
                     "check": "membership_and_rank",
                     "member": ok_member,
-                    "rank": report.rank,
+                    "rank": rank,
                     "expected_rank": want_rank,
                     "tuple": tup.to_json_dict(),
                 })
@@ -216,7 +215,6 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
     config = ctx.config
     r = config.r
     points = run.branch_points = config.branch_enumeration()
-    decisions = _Decisions(config)  # scoped to this enumeration
     expected = 2 ** r
     ok_count = len(points) == expected
     tally.record(ok_count)
@@ -224,13 +222,13 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
     tally.info["found"] = len(points)
     # split by the sign of the forced last coordinate: each last-slot choice
     # of a product ends len(product) / len(choices) of its tuples, and the
-    # choices are decided in the order the tuples first meet them
+    # choices are decided once each, in the order the tuples first meet them
     half = expected // 2
     split = {+1: 0, -1: 0}
     for product in points.products:
         last = product.slots[-1]
         for p in last:
-            split[decisions.branch_sign(p)] += len(product) // len(last)
+            split[config.branch_sign(p)] += len(product) // len(last)
     ok_split = split[+1] == half and split[-1] == half
     tally.record(ok_split)
     tally.info["split"] = {"+1": split[+1], "-1": split[-1]}
@@ -244,11 +242,12 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
         })
     # every branch point is a smooth member
     for product in points.products:
-        if config.all_smooth_members(product, decisions):
+        facts = config.slot_facts(product)
+        if facts.all_hold():
             tally.record(True, n=len(product))
             continue
-        for tup in product:
-            ok = config.contains(tup, decisions) and config.jacobian(tup, decisions).rank == r - 1
+        for picks, tup in product.indexed():
+            ok = facts.member(picks) and facts.rank(picks) == r - 1
             tally.record(ok)
             if not ok:
                 run.counterexamples.append({"check": "branch_membership",

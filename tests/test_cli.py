@@ -178,9 +178,22 @@ def test_numeric_flag_out_of_range_exit_code(capsys, flag, value):
 
 def test_precision_flag(capsys):
     assert build_parser().parse_args(["curve-info", "--precision", "64"]).precision == 64
-    code, out, _ = run_cli(capsys, "curve-info", "--precision", "64")
+    code, out, _ = run_cli(capsys, "curve-info", "--precision", "64", "--tol", "1e-15")
     assert code == EXIT_OK
     assert json.loads(out)["command"] == "curve-info"
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-info", "--lambda", "0.3,0.7", "--precision", "64"],
+    ["verify-config-curve", "--r", "3", "--samples", "2", "--lambda", "0.3,0.7",
+     "--precision", "64"],
+])
+def test_a_tolerance_finer_than_the_precision_is_a_usage_error(capsys, argv):
+    # 64 bits resolve about 5e-20, so the default tol 1e-30 cannot be met
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "tol 1e-30 is below 2**-64" in err and "raise the tolerance or the precision" in err
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from kodaira.config_curve import (
     ConfigurationCurve,
     MixedKindError,
     SlotProduct,
-    _Decisions,
     arrowhead_rank,
     base_genus_from_cover_degree,
     genus,
@@ -527,7 +526,7 @@ def test_critical_fibers_built_once_per_verify_run(monkeypatch):
 
 @pytest.fixture(scope="module")
 def warm_r8():
-    """An r=8 fiber whose tuples all passed ``contains`` through one memo.
+    """An r=8 fiber whose tuples all passed ``contains``.
 
     Also returns a second fiber, over another sampled first coordinate."""
     curve = GenusTwoCurve(Fraction(1))
@@ -539,9 +538,8 @@ def warm_r8():
         if p1 is not None:
             fibers.append(cc.fiber_over_first(p1))
     fiber, other = fibers
-    decisions = _Decisions(cc)
-    assert all(cc.contains(tup, decisions) for tup in fiber)
-    return cc, fiber, other, decisions
+    assert all(cc.contains(tup) for tup in fiber)
+    return cc, fiber, other
 
 
 def _mutated(tup, slot, point):
@@ -551,26 +549,25 @@ def _mutated(tup, slot, point):
 
 
 def test_warm_memo_rejects_another_fibers_point(warm_r8):
-    cc, fiber, other, decisions = warm_r8
+    cc, fiber, other = warm_r8
     for slot in range(1, cc.r):
-        assert not cc.contains(_mutated(fiber[-1], slot, other[0][slot]), decisions)
+        assert not cc.contains(_mutated(fiber[-1], slot, other[0][slot]))
 
 
 def test_warm_memo_rejects_a_repeated_point(warm_r8):
     # every slot pair, including the pairs the certificate keeps apart
-    cc, fiber, other, decisions = warm_r8
+    cc, fiber, other = warm_r8
     tup = fiber[5]
     for i, j in itertools.combinations(range(cc.r), 2):
-        assert not cc.contains(_mutated(tup, j, tup[i]), decisions)
+        assert not cc.contains(_mutated(tup, j, tup[i]))
 
 
 def test_warm_memo_rejects_an_off_curve_point(warm_r8):
-    cc, fiber, other, decisions = warm_r8
+    cc, fiber, other = warm_r8
     for slot in range(cc.r):
         p = fiber[3][slot]
-        assert not cc.contains(_mutated(fiber[3], slot, GenusTwoPoint.affine(p.x, p.y + 1)),
-                               decisions)
-    assert all(cc.contains(tup, decisions) for tup in fiber)
+        assert not cc.contains(_mutated(fiber[3], slot, GenusTwoPoint.affine(p.x, p.y + 1)))
+    assert all(cc.contains(tup) for tup in fiber)
 
 
 def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
@@ -578,7 +575,7 @@ def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
     # one distinctness decision per slot pair, on the shared y, against
     # (r-1) adds and C(r, 2) comparisons per tuple when every tuple is
     # decided from scratch
-    cc, fiber, other, _ = warm_r8
+    cc, fiber, other = warm_r8
     r = cc.r
     calls = {"add": 0, "distinct": 0, "on-curve": 0}
     add, contains = EllipticCurve.add, GenusTwoCurve.contains
@@ -604,7 +601,7 @@ def test_one_fiber_decides_each_point_fact_once(warm_r8, monkeypatch):
     monkeypatch.setattr(config_curve, "genus2_points_equal", counted_equal)
     monkeypatch.setattr(config_curve, "coordinate_separates", counted_separates)
     monkeypatch.setattr(GenusTwoCurve, "contains", counted_contains)
-    assert cc.all_smooth_members(other, _Decisions(cc))
+    assert cc.slot_facts(other).all_hold()
     assert calls["add"] <= 2 * (r - 1)
     assert calls["distinct"] <= r * (r - 1) // 2
     # per distinct point: the on-curve decision and the check inside cover()
@@ -615,15 +612,13 @@ def test_slot_verdict_agrees_with_the_walk(warm_r8):
     # on two r=8 fibers the verdict passes, and so does every tuple walked
     # through contains and jacobian; a slot holding another fiber's point
     # fails it
-    cc, fiber, other, _ = warm_r8
+    cc, fiber, other = warm_r8
     for product in (fiber, other):
-        decisions = _Decisions(cc)
-        assert cc.all_smooth_members(product, decisions)
-        assert all(cc.contains(tup, decisions) and cc.jacobian(tup, decisions).full_rank
-                   for tup in product)
+        assert cc.slot_facts(product).all_hold()
+        assert all(cc.contains(tup) and cc.jacobian(tup).full_rank for tup in product)
     slots = list(fiber.slots)
     slots[3] = slots[3][:1] + other.slots[3][:1]
-    assert not cc.all_smooth_members(SlotProduct(tuple(slots)), _Decisions(cc))
+    assert not cc.slot_facts(SlotProduct(tuple(slots))).all_hold()
 
 
 def test_distinctness_is_decided_not_assumed():
@@ -638,12 +633,26 @@ def test_distinctness_is_decided_not_assumed():
     while p1 is None:
         p1 = sample_genus2_point(curve, rng)
     fiber = cc.fiber_over_first(p1)
-    decisions = _Decisions(cc)
-    members = [cc.contains(tup, decisions) for tup in fiber]
+    members = [cc.contains(tup) for tup in fiber]
     assert members == [tup[1].x.distance(tup[2].x) > 1e-20 for tup in fiber]
     assert members.count(False) == 2
-    # slots 2 and 3 share their y, so the slot verdict decides the point pairs
-    assert not cc.all_smooth_members(fiber, _Decisions(cc))
+    # slots 2 and 3 share their y, so the slot table decides the point pairs
+    facts = cc.slot_facts(fiber)
+    assert not facts.all_hold()
+    assert [facts.member(picks) for picks, _ in fiber.indexed()] == members
+
+
+def test_cover_conditions_are_read_before_the_slot_pairs():
+    # slot 3 holds a point 3 tol from the critical point in slot 2: their
+    # coincidence is ambiguous, but slot 3 fails its cover condition, which
+    # is checked first, so the tuple is a non-member and nothing raises
+    curve = GenusTwoCurve(Fraction(1))
+    cc = ConfigurationCurve(curve, find_generic_points(curve.elliptic_quotient(), 3).offsets())
+    critical = curve.branch_point(+1)
+    x = as_approx(Fraction(3)) * curve.tol
+    near = GenusTwoPoint.affine(x, as_approx(curve.rhs(x)).sqrt())
+    p1 = cc.projection_fiber(2, critical).slots[0][0]
+    assert not cc.contains(ConfigTuple((p1, critical, near)).as_approx(curve.prec, curve.tol))
 
 
 # -- the rank rule of the slot verdict ------------------------------------------------------
@@ -662,9 +671,10 @@ def test_slot_verdict_fails_two_vanishing_derivatives():
     curve, cc = _critical_pair_config()
     product = cc.fiber_over_first(curve.branch_point(+1))
     assert product.slots == ((curve.branch_point(+1),), (curve.branch_point(-1),))
-    decisions = _Decisions(cc)
-    assert not cc.all_smooth_members(product, decisions)
-    assert cc.contains(product[0], decisions) and cc.jacobian(product[0], decisions).rank == 0
+    facts = cc.slot_facts(product)
+    assert not facts.all_hold()
+    assert facts.member((0, 0)) and facts.rank((0, 0)) == 0
+    assert cc.contains(product[0]) and cc.jacobian(product[0]).rank == 0
 
 
 def test_slot_verdict_makes_every_later_zero_test():
@@ -679,8 +689,8 @@ def test_slot_verdict_makes_every_later_zero_test():
     near = GenusTwoPoint.affine(x, -as_approx(curve.rhs(x)).sqrt())
     p1, critical = ConfigTuple((p1, critical)).as_approx(curve.prec, curve.tol)
     product = SlotProduct(((p1,), (critical, near)))
-    decisions = _Decisions(cc)
-    assert not cc.all_smooth_members(product, decisions)
-    assert cc.contains(product[0], decisions) and cc.contains(product[1], decisions)
+    facts = cc.slot_facts(product)
+    assert not facts.all_hold()
+    assert facts.member((0, 0)) and facts.member((0, 1))
     with pytest.raises(AmbiguousCoincidenceError):
-        cc.jacobian(product[1], decisions)
+        facts.rank((0, 1))

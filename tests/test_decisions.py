@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kodaira.cli import EXIT_OK, EXIT_PRECISION_EXHAUSTED, EXIT_USAGE, main
-from kodaira.config_curve import ConfigTuple, ConfigurationCurve, _Decisions, _shared_y_apart
+from kodaira.config_curve import ConfigTuple, ConfigurationCurve, SlotProduct, _shared_y_apart
 from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint
 from kodaira.generic_points import _exclusion_checks, find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
@@ -159,6 +159,11 @@ def slots_apart_by(x_gap: float, y_gap: float) -> tuple:
             slot(approx(1) + approx(x_gap * TOL), approx(2) + approx(y_gap * TOL)))
 
 
+def slot_pair_coincidences(a: tuple, b: tuple) -> list:
+    """The coincidence outcomes of the slot table of the two-slot product ``(a, b)``."""
+    return list(CC2.slot_facts(SlotProduct((a, b))).coincide.values())
+
+
 @given(ABOVE, st.floats(0, 1e6))
 def test_shared_y_above_band_separates_every_point_pair(y_gap, x_gap):
     a, b = slots_apart_by(x_gap, y_gap)
@@ -171,14 +176,14 @@ def test_shared_y_below_guard_leaves_the_point_pairs(y_gap, x_gap):
     # the y's decide nothing, and the x's keep the point pairs apart
     a, b = slots_apart_by(x_gap, y_gap)
     assert not _shared_y_apart(a, b)
-    assert _Decisions(CC2).slots_apart(a, b)
+    assert slot_pair_coincidences(a, b) == [False] * 4
 
 
 @given(BELOW, BAND)
 def test_shared_y_tie_decides_an_ambiguous_point_pair(y_gap, x_gap):
     a, b = slots_apart_by(x_gap, y_gap)
-    with pytest.raises(AmbiguousCoincidenceError):
-        _Decisions(CC2).slots_apart(a, b)
+    assert any(isinstance(outcome, AmbiguousCoincidenceError)
+               for outcome in slot_pair_coincidences(a, b))
 
 
 # -- the sign of a branch point's last coordinate ---------------------------------------
@@ -192,18 +197,18 @@ def near_branch_point(gap: float) -> GenusTwoPoint:
 
 @given(BELOW)
 def test_branch_sign_below_band_is_plus(gap):
-    assert _Decisions(CC2).branch_sign(near_branch_point(gap)) == +1
+    assert CC2.branch_sign(near_branch_point(gap)) == +1
 
 
 @given(BAND)
 def test_branch_sign_inside_band_raises(gap):
     with pytest.raises(AmbiguousCoincidenceError):
-        _Decisions(CC2).branch_sign(near_branch_point(gap))
+        CC2.branch_sign(near_branch_point(gap))
 
 
 @given(ABOVE)
 def test_branch_sign_above_band_is_minus(gap):
-    assert _Decisions(CC2).branch_sign(near_branch_point(gap)) == -1
+    assert CC2.branch_sign(near_branch_point(gap)) == -1
 
 
 # -- genericity: an ambiguous exclusion does not pass ------------------------------------
@@ -252,6 +257,8 @@ ALLOWED = {
     ("scalars.py", "coincide"),
     # a re-draw rule for sampled points, not an equality decision
     ("config_curve.py", "sample_genus2_point"),
+    # an input check, not an equality decision
+    ("elliptic.py", "__init__"),
 }
 
 
@@ -292,20 +299,30 @@ def test_no_general_svd_in_src():
 
 
 def test_one_tuple_enumerator():
-    # SlotProduct.tuples is the only code that builds tuples; membership's
-    # check of one tuple's own coordinates and the slot verdict's check of
-    # slot pairs are the only pairwise scans.  A second product, or a
-    # pairwise scan over an enumeration's tuples, would fork them again
+    # SlotProduct.indexed is the only code that builds tuples; the slot
+    # table's reading of one tuple's slot pairs and its decisions per slot
+    # pair are the only pairwise scans.  A second product, or a pairwise
+    # scan over an enumeration's tuples, would fork them again
     path = SRC / "config_curve.py"
     calls = [(node.func.attr, function) for node, function in _nodes_in_functions(path)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "itertools"]
-    allowed = {("product", "tuples"), ("combinations", "contains"),
-               ("combinations", "all_smooth_members")}
-    assert ("product", "tuples") in calls
+    allowed = {("product", "indexed"), ("combinations", "member"),
+               ("combinations", "slot_facts")}
+    assert ("product", "indexed") in calls
     assert [c for c in calls if c[0] in ("product", "combinations") and c not in allowed] == []
     assert not any(isinstance(node, ast.ImportFrom) and node.module == "itertools"
                    for node, _ in _nodes_in_functions(path))
+
+
+def test_no_private_name_is_imported_from_a_sibling_module():
+    # a private name stays inside its module; a caller that needs it calls
+    # a public one instead
+    found = [(path.name, node.module, alias.name) for path in sorted(SRC.glob("*.py"))
+             for node, _ in _nodes_in_functions(path)
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def _sympy_imports(path: Path) -> list:

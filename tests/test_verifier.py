@@ -1,22 +1,24 @@
-import gc
-import weakref
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kodaira.verifier as verifier_module
+from kodaira import config_curve
 from kodaira.config_curve import (
     AmbiguousCoincidenceError,
     ConfigurationCurve,
     Enumeration,
     FiberSizesDisagree,
+    MixedKindError,
+    SlotFacts,
     SlotProduct,
-    _Decisions,
+    arrowhead_rank,
 )
-from kodaira.elliptic import points_equal
+from kodaira.elliptic import EllipticCurve, points_equal
 from kodaira.generic_points import find_generic_points
-from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
+from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
 from kodaira.scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, ComplexApprox, format_rational
 from kodaira.verifier import (
     PrecisionExhausted,
@@ -204,8 +206,8 @@ def test_escalation_rechecks_the_base_configuration(monkeypatch):
 def test_mutated_branch_tuple_is_recorded_as_a_failure(monkeypatch):
     # slot 2 of the minus product takes its last choice from the plus
     # product, whose first coordinates differ: the slot decisions must find
-    # the failing cover condition, and the walk must name every tuple that
-    # holds the mutant choice
+    # the failing cover condition, and the replay must name every tuple
+    # that holds the mutant choice
     original = ConfigurationCurve.branch_enumeration
     mutants = []
 
@@ -252,9 +254,9 @@ def _mutated_slots(product: SlotProduct, mutation: str, slot: int, choice: int,
     band, at the base precision only, so the run escalates and passes at
     twice that: the last choice of slot ``k`` (residual 3 tol) and the
     first choice of the next later slot (7 tol).  The walk meets the
-    second first, in tuple 0; the verdict, slot by slot, meets the first
-    first unless ``k`` is the last slot.  So the escalation detail tells
-    which order decided.
+    second first, in tuple 0; deciding slot by slot meets the first first
+    unless ``k`` is the last slot.  So the escalation detail tells which
+    order decided.
     """
     slots = [list(choices) for choices in product.slots]
     k = slot % len(slots)
@@ -278,8 +280,43 @@ def _mutated_slots(product: SlotProduct, mutation: str, slot: int, choice: int,
 def _outcome(lam, r, samples, seed, tol):
     try:
         return verify_claim(lam, r, samples=samples, seed=seed, tol=tol).to_json_dict()
-    except Exception as exc:  # both paths must fail alike
+    except Exception as exc:  # every path must fail alike
         return type(exc).__name__, str(exc)
+
+
+class _ReferenceWalk:
+    """Membership and rank of each tuple decided from scratch, lazily, with no table.
+
+    Stands in for :class:`SlotFacts` as the reference it must agree with:
+    each condition is decided when the walk reaches it, through the curve
+    operations themselves, and the first decision that raises ends the walk.
+    """
+
+    def __init__(self, config: ConfigurationCurve, product: SlotProduct):
+        self.config = config
+        self.product = product
+
+    def all_hold(self) -> bool:
+        return False
+
+    def _tuple(self, picks):
+        return tuple(choices[c] for choices, c in zip(self.product.slots, picks))
+
+    def member(self, picks) -> bool:
+        curve, elliptic, tup = self.config.curve, self.config.elliptic, self._tuple(picks)
+        if len({p.is_exact for p in tup if not p.is_infinity}) > 1:
+            raise MixedKindError("tuple mixes exact and approximate coordinates")
+        if not all(curve.contains(p) for p in tup):
+            return False
+        for p, e in zip(tup[1:], self.config.offsets):
+            expected = elliptic.add(curve.cover(tup[0]), e)
+            if not points_equal(curve.cover(p), expected, "membership-cover-condition"):
+                return False
+        return not any(genus2_points_equal(p, q, "membership-distinctness")
+                       for p, q in itertools.combinations(tup, 2))
+
+    def rank(self, picks) -> int:
+        return arrowhead_rank([self.config.curve.cover_derivative(p) for p in self._tuple(picks)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -291,9 +328,10 @@ def _outcome(lam, r, samples, seed, tol):
        st.integers(0, 1), st.booleans())
 def test_slot_verdict_matches_the_tuple_walk(lam, r, samples, seed, tol, mutation,
                                              slot, choice, in_branch):
-    # the same run with the slot verdict always falling back to the walk
-    # gives the same tallies, counterexamples and escalations, also when a
-    # slot is mutated; a repeated offset makes two slots share their y's
+    # the run as is, the run replaying every tuple from its slot table, and
+    # the run deciding every tuple from scratch give the same tallies,
+    # counterexamples and escalations, also when a slot is mutated; a
+    # repeated offset makes two slots share their y's
     fiber, branch = ConfigurationCurve.fiber_over_first, ConfigurationCurve.branch_enumeration
     init = ConfigurationCurve.__init__
 
@@ -322,43 +360,32 @@ def test_slot_verdict_matches_the_tuple_walk(lam, r, samples, seed, tol, mutatio
         if mutation == "repeated-offset":
             patch.setattr(ConfigurationCurve, "__init__", repeated_offset)
         fast = _outcome(lam, r, samples, seed, tol)
-        patch.setattr(ConfigurationCurve, "all_smooth_members", lambda *args: False)
+        patch.setattr(SlotFacts, "all_hold", lambda self: False)
+        replayed = _outcome(lam, r, samples, seed, tol)
+        patch.setattr(ConfigurationCurve, "slot_facts",
+                      lambda self, product: _ReferenceWalk(self, product))
         walked = _outcome(lam, r, samples, seed, tol)
-    assert fast == walked
+    assert fast == replayed == walked
 
 
 def test_a_passing_run_walks_no_tuple(monkeypatch):
     # every enumeration of a passing run is decided from its slots: no
-    # tuple goes through contains or jacobian
+    # tuple goes through contains, jacobian or a replay of its slot table
     calls = []
-    for name in ("contains", "jacobian"):
-        original = getattr(ConfigurationCurve, name)
-        monkeypatch.setattr(ConfigurationCurve, name,
+    for owner, name in ((ConfigurationCurve, "contains"), (ConfigurationCurve, "jacobian"),
+                        (SlotFacts, "member"), (SlotFacts, "rank")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
     run = verify_claim("1/1", 8, samples=2)
     assert run.passed and run.tallies["membership_and_rank"].checked == 2 * 2 ** 7
     assert calls == []
 
 
-def test_no_decision_memo_outlives_its_enumeration(monkeypatch):
-    # while a memo is made, only the previous enumeration's may be alive
-    # (its name is rebound after the call); after the run, none is
-    made, alive = [], []
-    init = _Decisions.__init__
-
-    def recorded(self, config):
-        gc.collect()
-        alive.append(sum(ref() is not None for ref in made))
-        init(self, config)
-        made.append(weakref.ref(self))
-
-    monkeypatch.setattr(_Decisions, "__init__", recorded)
-    runs = [verify_claim(lam, 4, samples=3, seed=0) for lam in ("1/1", "0.3,0.7")]
-    assert all(run.passed for run in runs)
-    gc.collect()
-    assert len(made) >= 4  # a fiber per accepted draw and the branch list, per run
-    assert max(alive) <= 1
-    assert [ref() for ref in made] == [None] * len(made)
+def test_a_tolerance_finer_than_the_precision_is_rejected_before_sampling(monkeypatch):
+    monkeypatch.setattr(verifier_module, "sample_genus2_point", None)  # never reached
+    with pytest.raises(ValueError, match=r"tol 1e-30 is below 2\*\*-64"):
+        verify_claim("0.3,0.7", 3, prec=64)
 
 
 def test_off_curve_slot_choice_fails_the_run(monkeypatch):
@@ -380,6 +407,51 @@ def test_off_curve_slot_choice_fails_the_run(monkeypatch):
     assert [c["tuple"] for c in found] == [t.to_json_dict() for t in product if mutant in t]
     assert len(found) == len(product) // 2
     assert not any(c["member"] for c in found)
+
+
+def test_an_ambiguity_no_tuple_meets_is_not_raised(monkeypatch):
+    # both slot-2 choices are off the curve, so every tuple is a non-member
+    # before its slot pairs are read; a slot-3 choice 3 tol in x from one of
+    # them makes that pair's coincidence ambiguous, and no tuple meets it
+    fiber = ConfigurationCurve.fiber_over_first
+    mutated = []
+
+    def off_curve_fiber(self, p1):
+        slots = [list(choices) for choices in fiber(self, p1).slots]
+        slots[1] = [GenusTwoPoint.affine(p.x, p.y + 1) for p in slots[1]]
+        p = slots[1][0]
+        slots[2][0] = GenusTwoPoint.affine(p.x + ComplexApprox.of(3 * p.x.tol, p.x.prec, p.x.tol),
+                                           p.y)
+        mutated.append(SlotProduct(tuple(map(tuple, slots))))
+        return mutated[-1]
+
+    monkeypatch.setattr(ConfigurationCurve, "fiber_over_first", off_curve_fiber)
+    run = verify_claim("1/1", 4, samples=1)
+    assert run.status == "fail" and run.escalations == []
+    [product] = mutated
+    found = [c for c in run.counterexamples if c["check"] == "membership_and_rank"]
+    assert [c["tuple"] for c in found] == [t.to_json_dict() for t in product]
+    assert not any(c["member"] for c in found)
+
+
+def test_naming_a_failing_products_tuples_makes_no_decision(monkeypatch):
+    # once the slot table is built, reading every tuple's membership and
+    # rank from it decides nothing again
+    curve = GenusTwoCurve(Fraction(1))
+    config = ConfigurationCurve(curve, find_generic_points(curve.elliptic_quotient(), 4).offsets())
+    p1 = config.projection_fiber(2, curve.branch_point(-1)).slots[0][0]
+    product = _mutated_slots(config.fiber_over_first(p1), "other-fiber", 2, 1,
+                             config.fiber_over_first(curve.branch_point(-1)))
+    facts = config.slot_facts(product)
+    assert not facts.all_hold()
+    calls = []
+    for owner, name in ((GenusTwoCurve, "contains"), (EllipticCurve, "add"),
+                        (config_curve, "genus2_points_equal")):
+        monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
+    members = [facts.member(picks) and facts.rank(picks) for picks, _ in product.indexed()]
+    assert calls == []
+    assert members.count(False) == len(product) // 2
+    assert set(members) == {False, 3}
 
 
 def test_disagreeing_projection_fibers_fail_the_run(monkeypatch):
