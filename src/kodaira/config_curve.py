@@ -426,12 +426,15 @@ class ConfigurationCurve:
             raise ValueError("projection index out of range")
         if j == 1:
             p1_choices = [value]
+            base_image = self.curve.cover(value)
         else:
             first_image = self.elliptic.sub(self.curve.cover(value), self.offsets[j - 2])
             p1_choices = self.curve.fiber(first_image)
-        base_image = self.curve.cover(p1_choices[0])
+            base_image = self.curve._cover(p1_choices[0])
+        # ``value`` is checked above; the fiber points and their sums with
+        # the offsets are on the curves by construction
         slots = self._uniform([p1_choices] + [
-            [value] if i == j else self.curve.fiber(self.elliptic.add(base_image, e))
+            [value] if i == j else self.curve._fiber(self.elliptic._add(base_image, e))
             for i, e in enumerate(self.offsets, start=2)])
         for choices in slots:
             self._certify_distinct(choices)

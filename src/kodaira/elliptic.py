@@ -109,8 +109,19 @@ class EllipticCurve:
         return EllipticPoint(p.x, -p.y)
 
     def add(self, p: EllipticPoint, q: EllipticPoint) -> EllipticPoint:
+        """``p + q``; raises :class:`OffCurveError` for an argument off the curve."""
         self._require(p)
         self._require(q)
+        return self._add(p, q)
+
+    def _add(self, p: EllipticPoint, q: EllipticPoint) -> EllipticPoint:
+        """:meth:`add` without the on-curve checks, for points on the curve by construction.
+
+        The callers: :meth:`multiply`, which checks ``p`` once;
+        ``generic_points.certify_stride``, whose offsets are multiples of a
+        checked base; and ``ConfigurationCurve.projection_fiber``, which
+        adds the offsets to the cover image of a fiber point.
+        """
         if p.is_infinity:
             return q
         if q.is_infinity:
@@ -130,15 +141,16 @@ class EllipticCurve:
         return self.add(p, self.neg(q))
 
     def multiply(self, n: int, p: EllipticPoint) -> EllipticPoint:
-        """``n``-fold sum by double-and-add."""
+        """``n``-fold sum by double-and-add; ``p`` is checked once, the sums are not."""
+        self._require(p)
         if n < 0:
-            return self.multiply(-n, self.neg(p))
+            n, p = -n, self.neg(p)
         result = EC_INFINITY
         base = p
         while n:
             if n & 1:
-                result = self.add(result, base)
-            base = self.add(base, base)
+                result = self._add(result, base)
+            base = self._add(base, base)
             n >>= 1
         return result
 

@@ -208,7 +208,7 @@ def certify_stride(curve: EllipticCurve, r: int, base: EllipticPoint,
     points = []
     current = step  # [stride * 1] base
     for _ in range(2, r + 1):
-        current = curve.add(current, step)
+        current = curve._add(current, step)  # multiples of the checked base
         points.append(current)    # e_i = [stride * i] base
     return GenericityCertificate(
         lam=curve.lam, r=r, mode=mode, stride=stride, base_point=base, delta=delta,

@@ -125,8 +125,19 @@ class GenusTwoCurve:
     # -- the double cover -----------------------------------------------------
 
     def cover(self, p: GenusTwoPoint) -> EllipticPoint:
-        """The covering map ``(x, y) -> (x^2, y)``; infinity maps to infinity."""
+        """The covering map ``(x, y) -> (x^2, y)``; infinity maps to infinity.
+
+        Raises :class:`OffCurveError` for a point off the curve.
+        """
         self._require(p)
+        return self._cover(p)
+
+    def _cover(self, p: GenusTwoPoint) -> EllipticPoint:
+        """:meth:`cover` without the on-curve check, for a point on the curve by construction.
+
+        The caller: ``ConfigurationCurve.projection_fiber``, on a point of
+        a cover fiber.
+        """
         if p.is_infinity:
             return EC_INFINITY
         return EllipticPoint(p.x * p.x, p.y)
@@ -137,12 +148,21 @@ class GenusTwoCurve:
         Two points generically, one at the two branch images (``x = 0``),
         and the two infinity labels over the point at infinity.  Square
         roots that leave the exact tower fall back to ComplexApprox
-        coordinates, which marks the whole result as approximate.
+        coordinates, which marks the whole result as approximate.  Raises
+        :class:`OffCurveError` for a point off the elliptic curve.
+        """
+        if not self._elliptic.contains(q):
+            raise OffCurveError(f"{q!r} is not on {self._elliptic!r}")
+        return self._fiber(q)
+
+    def _fiber(self, q: EllipticPoint) -> list:
+        """:meth:`fiber` without the on-curve check, for a point on the curve by construction.
+
+        The caller: ``ConfigurationCurve.projection_fiber``, on the sum of
+        a cover image and an offset.
         """
         if q.is_infinity:
             return [X_INFINITY_PLUS, X_INFINITY_MINUS]
-        if not self._elliptic.contains(q):
-            raise OffCurveError(f"{q!r} is not on {self._elliptic!r}")
         if scalar_is_zero(q.x):
             return [GenusTwoPoint.affine(q.x, q.y)]
         if is_exact(q.x):

@@ -24,12 +24,26 @@ the caller can escalate precision instead of guessing.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_div,
+    mpc_mul,
+    mpc_neg,
+    mpc_pos,
+    mpc_pow_int,
+    mpc_sqrt,
+    mpc_sub,
+    mpf_div,
+    round_nearest,
+)
 
 DEFAULT_PREC_BITS = 256
 DEFAULT_TOL = 1e-30
@@ -276,16 +290,37 @@ class QuadExt:
 # ---------------------------------------------------------------------------
 
 
+# ComplexApprox arithmetic calls the libmp kernel that mpmath's own mpc
+# operator calls inside ``workprec(prec)``, at the result's precision and
+# rounding to nearest, so every bit is the same; it neither reads nor sets
+# the global precision.
+_make_mpc = mpmath.mp.make_mpc
+_make_mpf = mpmath.mp.make_mpf
+
+
+def _rsub(z, w, prec, rounding):
+    return mpc_sub(w, z, prec, rounding)
+
+
+def _rdiv(z, w, prec, rounding):
+    return mpc_div(w, z, prec, rounding)
+
+
 def _lift_to_mpc(value, prec: int) -> mpmath.mpc:
     """Lift a scalar (or a Python or mpmath number) to an mpc rounded to ``prec`` bits."""
-    with mpmath.workprec(prec):
-        if isinstance(value, ComplexApprox):
-            return +value.z
-        if isinstance(value, QuadExt):
-            return value.to_mpc(prec)
-        if isinstance(value, Fraction):
-            return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
-        if isinstance(value, (int, float, complex, mpmath.mpf, mpmath.mpc)):
+    if isinstance(value, ComplexApprox):
+        return _make_mpc(mpc_pos(value.z._mpc_, prec, round_nearest))
+    if isinstance(value, int):
+        return _make_mpc((from_int(value, prec, round_nearest), fzero))
+    if isinstance(value, Fraction):
+        # mpf(numerator) / denominator, as mpmath rounds it at ``prec``
+        quotient = mpf_div(from_int(value.numerator, prec, round_nearest),
+                           from_int(value.denominator), prec, round_nearest)
+        return _make_mpc((quotient, fzero))
+    if isinstance(value, QuadExt):
+        return value.to_mpc(prec)
+    if isinstance(value, (float, complex, mpmath.mpf, mpmath.mpc)):
+        with mpmath.workprec(prec):
             return mpmath.mpc(value.real, value.imag)
     raise TypeError(f"cannot lift {type(value).__name__} to a complex approximation")
 
@@ -318,32 +353,37 @@ class ComplexApprox:
             return cls(mpmath.mpc(re, im), prec, tol)
 
     def _operand(self, other):
-        """``other`` as an mpc, with the precision and tolerance of a result."""
+        """``other`` as a libmp complex, with the precision and tolerance of a result."""
         if isinstance(other, ComplexApprox):
-            return other.z, max(self.prec, other.prec), max(self.tol, other.tol)
-        return _lift_to_mpc(other, self.prec), self.prec, self.tol
+            return other.z._mpc_, max(self.prec, other.prec), max(self.tol, other.tol)
+        return _lift_to_mpc(other, self.prec)._mpc_, self.prec, self.tol
 
     def _binary(self, other, op):
+        """``op(self, other)`` for a libmp kernel ``op``, at the result's precision."""
         try:
             zo, prec, tol = self._operand(other)
         except TypeError:
             return NotImplemented
-        with mpmath.workprec(prec):
-            return ComplexApprox(op(self.z, zo), prec, tol)
+        return ComplexApprox(_make_mpc(op(self.z._mpc_, zo, prec, round_nearest)), prec, tol)
+
+    def _unary(self, op, *args):
+        """``op(self, *args)`` for a libmp kernel ``op``, at ``self.prec``."""
+        return ComplexApprox(_make_mpc(op(self.z._mpc_, *args, self.prec, round_nearest)),
+                             self.prec, self.tol)
 
     def __add__(self, other):
-        return self._binary(other, operator.add)
+        return self._binary(other, mpc_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, operator.sub)
+        return self._binary(other, mpc_sub)
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
+        return self._binary(other, _rsub)
 
     def __mul__(self, other):
-        return self._binary(other, operator.mul)
+        return self._binary(other, mpc_mul)
 
     __rmul__ = __mul__
 
@@ -352,46 +392,46 @@ class ComplexApprox:
             raise ZeroDivisionError("division by (approximately) zero")
         if isinstance(other, (int, Fraction)) and other == 0:
             raise ZeroDivisionError("division by zero")
-        return self._binary(other, operator.truediv)
+        return self._binary(other, mpc_div)
 
     def __rtruediv__(self, other):
         if self.is_zero():
             raise ZeroDivisionError("division by (approximately) zero")
-        return self._binary(other, lambda a, b: b / a)
+        return self._binary(other, _rdiv)
 
     def __neg__(self):
-        with mpmath.workprec(self.prec):
-            return ComplexApprox(-self.z, self.prec, self.tol)
+        return self._unary(mpc_neg)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        with mpmath.workprec(self.prec):
-            return ComplexApprox(self.z ** n, self.prec, self.tol)
+        return self._unary(mpc_pow_int, n)
 
     def sqrt(self) -> "ComplexApprox":
-        with mpmath.workprec(self.prec):
-            return ComplexApprox(mpmath.sqrt(self.z), self.prec, self.tol)
+        return self._unary(mpc_sqrt)
 
     def abs_value(self) -> mpmath.mpf:
-        with mpmath.workprec(self.prec):
-            return abs(self.z)
+        return _make_mpf(mpc_abs(self.z._mpc_, self.prec, round_nearest))
 
     def distance(self, other) -> mpmath.mpf:
-        zo, prec, _ = self._operand(other)
-        with mpmath.workprec(prec):
-            return abs(self.z - zo)
+        return _distance(self, other, _scale((self, other))[0])
 
     def is_zero(self) -> bool:
         return coincide(self.abs_value(), self.tol, "zero-test")
 
+    # nstr prints a given number of digits, whatever the context's precision
     def __repr__(self):
-        with mpmath.workprec(self.prec):
-            return f"~({mpmath.nstr(self.z.real, 17)} + {mpmath.nstr(self.z.imag, 17)}j)"
+        return f"~({mpmath.nstr(self.z.real, 17)} + {mpmath.nstr(self.z.imag, 17)}j)"
 
     def to_str(self, digits: int = 40) -> str:
-        with mpmath.workprec(self.prec):
-            return f"{mpmath.nstr(self.z.real, digits)},{mpmath.nstr(self.z.imag, digits)}"
+        return f"{mpmath.nstr(self.z.real, digits)},{mpmath.nstr(self.z.imag, digits)}"
+
+
+def _distance(u, v, prec: int) -> mpmath.mpf:
+    """``abs(u - v)`` of two scalars lifted to ``prec`` bits, at ``prec`` bits."""
+    difference = mpc_sub(_lift_to_mpc(u, prec)._mpc_, _lift_to_mpc(v, prec)._mpc_, prec,
+                         round_nearest)
+    return _make_mpf(mpc_abs(difference, prec, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +517,7 @@ def coordinates_equal(a: tuple, b: tuple, check_name: str) -> bool:
     if scale is None:
         return a == b
     prec, tol = scale
-    with mpmath.workprec(prec):
-        distance = max(abs(_lift_to_mpc(u, prec) - _lift_to_mpc(v, prec)) for u, v in zip(a, b))
+    distance = max(_distance(u, v, prec) for u, v in zip(a, b))
     return coincide(distance, tol, check_name)
 
 
@@ -495,8 +534,7 @@ def coordinate_separates(a: tuple, b: tuple, k: int, check_name: str) -> bool:
     if scale is None:
         return a[k] != b[k]
     prec, tol = scale
-    with mpmath.workprec(prec):
-        distance = abs(_lift_to_mpc(a[k], prec) - _lift_to_mpc(b[k], prec))
+    distance = _distance(a[k], b[k], prec)
     try:
         return not coincide(distance, tol, check_name)
     except AmbiguousCoincidenceError:
@@ -526,14 +564,13 @@ def scalar_to_json(x):
         }
     if isinstance(x, ComplexApprox):
         digits = max(8, int(x.prec * 0.302) + 2)
-        with mpmath.workprec(x.prec):
-            return {
-                "kind": "complex",
-                "re": mpmath.nstr(x.z.real, digits),
-                "im": mpmath.nstr(x.z.imag, digits),
-                "prec": x.prec,
-                "tol": repr(x.tol),
-            }
+        return {
+            "kind": "complex",
+            "re": mpmath.nstr(x.z.real, digits),
+            "im": mpmath.nstr(x.z.imag, digits),
+            "prec": x.prec,
+            "tol": repr(x.tol),
+        }
     from .symbolic import SymbolicScalar
 
     if isinstance(x, SymbolicScalar):

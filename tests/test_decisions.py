@@ -325,6 +325,32 @@ def test_no_private_name_is_imported_from_a_sibling_module():
     assert found == []
 
 
+# (file, enclosing function, name) of each use of a group-law form that skips
+# the on-curve check: the checked forms delegating, and callers whose points
+# are on the curve by construction, as their docstrings say
+UNCHECKED_USES = [
+    ("config_curve.py", "projection_fiber", "_add"),
+    ("config_curve.py", "projection_fiber", "_cover"),
+    ("config_curve.py", "projection_fiber", "_fiber"),
+    ("elliptic.py", "add", "_add"),
+    ("elliptic.py", "multiply", "_add"),
+    ("elliptic.py", "multiply", "_add"),
+    ("generic_points.py", "certify_stride", "_add"),
+    ("genus2.py", "cover", "_cover"),
+    ("genus2.py", "fiber", "_fiber"),
+]
+
+
+def test_unchecked_group_law_has_only_its_listed_callers():
+    # a new caller of _add, _cover or _fiber skips a check the public form
+    # makes; it belongs here, and in the docstring, only if its points are
+    # on the curve by construction
+    found = sorted((path.name, function, node.attr) for path in sorted(SRC.glob("*.py"))
+                   for node, function in _nodes_in_functions(path)
+                   if isinstance(node, ast.Attribute) and node.attr in ("_add", "_cover", "_fiber"))
+    assert found == UNCHECKED_USES
+
+
 def _sympy_imports(path: Path) -> list:
     """The enclosing function (None at module level) of each sympy import."""
     found = []

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kodaira import scalars
 from kodaira.scalars import (
     ComplexApprox,
     NOT_REPRESENTABLE,
     QuadExt,
     SymbolicScalar,
+    coordinate_separates,
+    coordinates_equal,
     quadext,
     rational_sqrt,
     scalar_from_json,
@@ -220,6 +224,66 @@ def test_complex_approx_is_bit_exact_mpmath(operands, n):
     # equal values hash equal, whichever way they were made
     for twin in (left + 0, left * 1, ComplexApprox.of(left, left.prec, left.tol), -(-left)):
         assert twin == left and hash(twin) == hash(left)
+
+
+def _bits(value):
+    if isinstance(value, ComplexApprox):
+        return value.z._mpc_, value.prec, value.tol
+    if isinstance(value, mpmath.mpf):
+        return value._mpf_
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _every_result(left, right, n):
+    """The bits of each operation, and of each distance a coordinate decision classifies."""
+    ops = {
+        "+": lambda: left + right, "-": lambda: left - right,
+        "*": lambda: left * right, "/": lambda: left / right,
+        "r+": lambda: right + left, "r-": lambda: right - left,
+        "r*": lambda: right * left, "r/": lambda: right / left,
+        "neg": lambda: -left, "pow": lambda: left ** n, "sqrt": left.sqrt,
+        "abs": left.abs_value, "distance": lambda: left.distance(right),
+        "of": lambda: [ComplexApprox.of(v, p, left.tol) for v in (left, right) for p in _PRECS],
+        "equal": lambda: coordinates_equal((left, right), (right, left), "ambient-test"),
+        "separates": lambda: coordinate_separates((left, right), (right, left), 1, "ambient-test"),
+        "text": lambda: (left.to_str(), repr(left), scalar_to_json(left)),
+    }
+    distances = []
+    original = scalars.coincide
+
+    def recording(distance, tol, check_name):
+        distances.append(distance._mpf_)
+        return original(distance, tol, check_name)
+
+    results = {}
+    with mock.patch.object(scalars, "coincide", recording):
+        for key, op in ops.items():
+            try:
+                results[key] = _bits(op())
+            except scalars.AmbiguousCoincidenceError as exc:
+                results[key] = exc.distance._mpf_
+    return results, distances
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands(), st.integers(-3, 5))
+def test_no_result_reads_the_global_precision(operands, n):
+    # each operation runs at its operands' precision, so an ambient
+    # precision, coarser or finer, changes no bit and is left as it was
+    left, right = operands
+    before = mpmath.mp.prec
+    expected = _every_result(left, right, n)
+    for ambient in (20, 1000):
+        with mpmath.workprec(ambient):
+            assert _every_result(left, right, n) == expected
+            for raising in (lambda: left / 0, lambda: right / ComplexApprox.of(0, left.prec),
+                            lambda: ComplexApprox.of(0, left.prec) ** -1):
+                with pytest.raises(ZeroDivisionError):
+                    raising()
+                assert mpmath.mp.prec == ambient
+    assert mpmath.mp.prec == before
 
 
 def test_scalars_equal_dispatch():
