@@ -347,20 +347,32 @@ class ConfigurationCurve:
         ``i``, slot-1 choice, slot-``i`` choice); coincidence per pair of
         choices from two slots, all four pairs at once when the slots'
         shared ``y`` separates them.  A decision that raises stores its
-        exception (see :class:`SlotFacts`).
+        exception (see :class:`SlotFacts`).  The cover images and expected
+        images of choices on the curve skip the on-curve checks already
+        decided here and in :attr:`_offsets_on_curve`; any other choice goes
+        through the checked ``cover`` and ``add``, which raise as they would.
         """
         slots = product.slots
-        curve, add = self.curve, self.elliptic.add
+        curve, elliptic = self.curve, self.elliptic
         on_curve, images, zero = {}, {}, {}
         for s, choices in enumerate(slots):
             for c, p in enumerate(choices):
                 on_curve[s, c] = _outcome(curve.contains, p)
-                images[s, c] = _outcome(curve.cover, p)
+                # ``cover`` would decide the on-curve outcome just stored again
+                cover = curve._cover if on_curve[s, c] is True else curve.cover
+                images[s, c] = _outcome(cover, p)
                 zero[s, c] = _outcome(scalar_is_zero, curve.cover_derivative(p))
         covers = {}
-        for s, e in enumerate(self.offsets, start=1):
+        for s, (e, e_on_curve) in enumerate(zip(self.offsets, self._offsets_on_curve), start=1):
             for c1 in range(len(slots[0])):
-                expected = _outcome(lambda: add(_read(images[0, c1]), e))
+                image = images[0, c1]
+                if e_on_curve is True and not isinstance(image, Exception):
+                    # a cover image is on the elliptic curve iff its point is
+                    # on the genus-2 curve, by the same operations in the
+                    # same order, so ``add`` would decide both checks again
+                    expected = _outcome(elliptic._add, image, e)
+                else:
+                    expected = _outcome(lambda: elliptic.add(_read(image), e))
                 for c in range(len(slots[s])):
                     covers[s, c1, c] = _outcome(_cover_condition, expected, images[s, c])
         coincide = {}
@@ -371,6 +383,11 @@ class ConfigurationCurve:
                     coincide[a, ca, b, cb] = False if apart else _outcome(
                         genus2_points_equal, p, q, "membership-distinctness")
         return SlotFacts(slots, on_curve, covers, coincide, zero)
+
+    @functools.cached_property
+    def _offsets_on_curve(self) -> tuple:
+        """The outcome of ``elliptic.contains(e)`` for each offset, decided once per curve."""
+        return tuple(_outcome(self.elliptic.contains, e) for e in self.offsets)
 
     def branch_sign(self, p: GenusTwoPoint) -> int:
         """``+1`` if ``p`` is the critical point ``(0, +sqrt(lam))``, else ``-1``."""

@@ -119,8 +119,11 @@ class EllipticCurve:
 
         The callers: :meth:`multiply`, which checks ``p`` once;
         ``generic_points.certify_stride``, whose offsets are multiples of a
-        checked base; and ``ConfigurationCurve.projection_fiber``, which
-        adds the offsets to the cover image of a fiber point.
+        checked base; ``ConfigurationCurve.projection_fiber``, which
+        adds the offsets to the cover image of a fiber point; and
+        ``ConfigurationCurve.slot_facts``, which adds an offset it has
+        decided on the curve to the cover image of a choice it has decided
+        on the curve.
         """
         if p.is_infinity:
             return q

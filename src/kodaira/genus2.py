@@ -135,8 +135,9 @@ class GenusTwoCurve:
     def _cover(self, p: GenusTwoPoint) -> EllipticPoint:
         """:meth:`cover` without the on-curve check, for a point on the curve by construction.
 
-        The caller: ``ConfigurationCurve.projection_fiber``, on a point of
-        a cover fiber.
+        The callers: ``ConfigurationCurve.projection_fiber``, on a point of
+        a cover fiber; and ``ConfigurationCurve.slot_facts``, on a choice
+        whose on-curve decision it has just made.
         """
         if p.is_infinity:
             return EC_INFINITY

@@ -23,6 +23,7 @@ the caller can escalate precision instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,6 +105,20 @@ def coincide(distance, tol, check_name: str) -> bool:
     True below ``tol``, False from ``COINCIDENCE_GUARD * tol`` on; the
     band in between raises :class:`AmbiguousCoincidenceError` rather
     than a silent call either way.
+
+    :func:`_decide` makes this decision on libmp complex differences
+    without computing ``distance`` when their exponents settle it.  A
+    nonzero libmp part ``(sign, man, exp, bc)`` has
+    ``2^(exp+bc-1) <= |part| < 2^(exp+bc)``.  With ``top`` the largest
+    ``exp + bc`` over the nonzero parts, the exact ``max |d|`` lies in
+    ``[2^(top-1), sqrt(2) * 2^top)``, and since both ``2^(top-1)`` and
+    ``2^(top+1)`` are representable and rounding to nearest is
+    monotone, the rounded distance lies in ``[2^(top-1), 2^(top+1)]``.
+    A positive float ``t`` with ``frexp(t)[1] == e`` has
+    ``2^(e-1) <= t < 2^e``.  So ``top > frexp(COINCIDENCE_GUARD * tol)[1]``
+    puts the distance at or above the guard (False), and
+    ``top < frexp(tol)[1] - 2`` puts it below ``tol`` (True).  Anything
+    else comes here.
     """
     if distance < tol:
         return True
@@ -113,6 +128,56 @@ def coincide(distance, tol, check_name: str) -> bool:
         f"distance {mpmath.nstr(mpmath.mpf(distance), 8)} within the ambiguity band "
         f"[{tol}, {COINCIDENCE_GUARD * tol}) during {check_name}",
         check_name=check_name, distance=distance, tol=tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _exponent_bounds(tol):
+    """``(distinct_above, coincident_below)``: the exponent thresholds of :func:`_decide`.
+
+    None unless ``tol`` and ``COINCIDENCE_GUARD * tol`` are positive
+    finite floats; :func:`coincide` then decides every distance.
+    """
+    if not isinstance(tol, float):
+        return None
+    tol_mantissa, tol_exponent = math.frexp(tol)
+    guard_mantissa, guard_exponent = math.frexp(COINCIDENCE_GUARD * tol)
+    if not (0.5 <= tol_mantissa < 1 and 0.5 <= guard_mantissa < 1):
+        return None
+    return guard_exponent, tol_exponent - 2
+
+
+def _top_exponent(differences):
+    """The largest ``exp + bc`` over the nonzero parts of libmp complex ``differences``.
+
+    None when every part is zero or a part is infinite or nan.
+    """
+    top = None
+    for difference in differences:
+        for _, man, exp, bc in difference:
+            if man:
+                if top is None or exp + bc > top:
+                    top = exp + bc
+            elif bc:  # inf and nan; a zero has bc == 0
+                return None
+    return top
+
+
+def _decide(differences, prec: int, tol, check_name: str) -> bool:
+    """``coincide(max |d|, tol, check_name)`` over libmp complex ``differences``.
+
+    ``|d|`` is rounded to ``prec`` bits.  It is computed only when the
+    differences' exponents do not settle the decision (see :func:`coincide`).
+    """
+    bounds = _exponent_bounds(tol)
+    top = _top_exponent(differences) if bounds else None
+    if top is not None:
+        distinct_above, coincident_below = bounds
+        if top > distinct_above:
+            return False
+        if top < coincident_below:
+            return True
+    distance = max(_make_mpf(mpc_abs(d, prec, round_nearest)) for d in differences)
+    return coincide(distance, tol, check_name)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -414,10 +479,11 @@ class ComplexApprox:
         return _make_mpf(mpc_abs(self.z._mpc_, self.prec, round_nearest))
 
     def distance(self, other) -> mpmath.mpf:
-        return _distance(self, other, _scale((self, other))[0])
+        prec = _scale((self, other))[0]
+        return _make_mpf(mpc_abs(_difference(self, other, prec), prec, round_nearest))
 
     def is_zero(self) -> bool:
-        return coincide(self.abs_value(), self.tol, "zero-test")
+        return _decide((self.z._mpc_,), self.prec, self.tol, "zero-test")
 
     # nstr prints a given number of digits, whatever the context's precision
     def __repr__(self):
@@ -427,11 +493,10 @@ class ComplexApprox:
         return f"{mpmath.nstr(self.z.real, digits)},{mpmath.nstr(self.z.imag, digits)}"
 
 
-def _distance(u, v, prec: int) -> mpmath.mpf:
-    """``abs(u - v)`` of two scalars lifted to ``prec`` bits, at ``prec`` bits."""
-    difference = mpc_sub(_lift_to_mpc(u, prec)._mpc_, _lift_to_mpc(v, prec)._mpc_, prec,
-                         round_nearest)
-    return _make_mpf(mpc_abs(difference, prec, round_nearest))
+def _difference(u, v, prec: int):
+    """``u - v`` as a libmp complex, of two scalars lifted to ``prec`` bits."""
+    return mpc_sub(_lift_to_mpc(u, prec)._mpc_, _lift_to_mpc(v, prec)._mpc_, prec,
+                   round_nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +582,7 @@ def coordinates_equal(a: tuple, b: tuple, check_name: str) -> bool:
     if scale is None:
         return a == b
     prec, tol = scale
-    distance = max(_distance(u, v, prec) for u, v in zip(a, b))
-    return coincide(distance, tol, check_name)
+    return _decide([_difference(u, v, prec) for u, v in zip(a, b)], prec, tol, check_name)
 
 
 def coordinate_separates(a: tuple, b: tuple, k: int, check_name: str) -> bool:
@@ -534,9 +598,8 @@ def coordinate_separates(a: tuple, b: tuple, k: int, check_name: str) -> bool:
     if scale is None:
         return a[k] != b[k]
     prec, tol = scale
-    distance = _distance(a[k], b[k], prec)
     try:
-        return not coincide(distance, tol, check_name)
+        return not _decide((_difference(a[k], b[k], prec),), prec, tol, check_name)
     except AmbiguousCoincidenceError:
         return False
 

@@ -20,7 +20,7 @@ from kodaira.config_curve import (
     tower_genus_closed_form,
     tower_genus_recursion,
 )
-from kodaira.elliptic import EllipticCurve, points_equal
+from kodaira.elliptic import EllipticCurve, EllipticPoint, OffCurveError, points_equal
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
 from kodaira.scalars import ComplexApprox, QuadExt, as_approx, quadext
@@ -695,3 +695,61 @@ def test_slot_verdict_makes_every_later_zero_test():
     assert facts.member((0, 0)) and facts.member((0, 1))
     with pytest.raises(AmbiguousCoincidenceError):
         facts.rank((0, 1))
+
+
+# -- outcomes of choices and offsets off the curve -------------------------------------------
+
+
+def _public_outcome(decide, *args):
+    """``decide(*args)``, or the type and message of the exception it raised."""
+    try:
+        return decide(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+def test_off_curve_outcomes_are_the_public_forms_exceptions(slot):
+    # one offset moved off the elliptic curve, and one choice of slot 1 or 4
+    # moved off the genus-2 curve: every stored cover condition is what the
+    # checked cover and add give, exception type and message included, and
+    # so is every tuple's membership
+    curve = GenusTwoCurve(Fraction(1))
+    elliptic = curve.elliptic_quotient()
+    offsets = find_generic_points(elliptic, 4).offsets()
+    p1 = None
+    rng = random.Random(5)
+    while p1 is None:
+        p1 = sample_genus2_point(curve, rng)
+    fiber = ConfigurationCurve(curve, offsets).fiber_over_first(p1)
+    slots = [list(choices) for choices in fiber.slots]
+    slots[0].append(GenusTwoPoint.affine(-p1.x, p1.y))
+    p = slots[slot][-1]
+    slots[slot][-1] = GenusTwoPoint.affine(p.x, p.y + 1)
+    product = SlotProduct(tuple(map(tuple, slots)))
+    moved = list(offsets)
+    moved[1] = EllipticPoint(moved[1].x, moved[1].y + 1)
+    cc = ConfigurationCurve(curve, moved)
+    facts = cc.slot_facts(product)
+
+    def cover_condition(q1, e, q):
+        expected = elliptic.add(curve.cover(q1), e)
+        return points_equal(curve.cover(q), expected, "membership-cover-condition")
+
+    def member(tup):
+        if not all(curve.contains(q) for q in tup):
+            return False
+        return (all(cover_condition(tup[0], e, q) for q, e in zip(tup[1:], moved))
+                and not any(config_curve.genus2_points_equal(a, b, "membership-distinctness")
+                            for a, b in itertools.combinations(tup, 2)))
+
+    expected = {(s, c1, c): _public_outcome(cover_condition, q1, e, q)
+                for s, e in enumerate(moved, start=1)
+                for c1, q1 in enumerate(product.slots[0])
+                for c, q in enumerate(product.slots[s])}
+    stored = {key: _public_outcome(config_curve._read, o) for key, o in facts.covers.items()}
+    assert stored == expected
+    assert {type(o) for o in facts.covers.values()} == {bool, OffCurveError}
+    assert not facts.all_hold()
+    assert ([_public_outcome(facts.member, picks) for picks, _ in product.indexed()]
+            == [_public_outcome(member, tup) for tup in product])

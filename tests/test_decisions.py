@@ -2,21 +2,27 @@
 
 Band tests: at each decision site a distance below ``tol`` is decided
 coincident, one of ``COINCIDENCE_GUARD * tol`` or more is decided distinct,
-and one in between raises :class:`AmbiguousCoincidenceError`.  The guard
-tests parse the package and fail when a comparison against a tolerance
-appears anywhere but in :func:`kodaira.scalars.coincide`.
+and one in between raises :class:`AmbiguousCoincidenceError`.  The
+exponent tests check that deciding from the exponents of a difference
+gives what :func:`kodaira.scalars.coincide` gives on its absolute value,
+down to the exception raised.  The guard tests parse the package and
+fail when a comparison against a tolerance appears anywhere but in
+:func:`kodaira.scalars.coincide`.
 """
 
 import ast
 import contextlib
 import io
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import finf, fninf, from_float, from_man_exp, fzero, mpc_abs, round_nearest
 
+from kodaira import scalars
 from kodaira.cli import EXIT_OK, EXIT_PRECISION_EXHAUSTED, EXIT_USAGE, main
 from kodaira.config_curve import ConfigTuple, ConfigurationCurve, SlotProduct, _shared_y_apart
 from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint
@@ -29,6 +35,7 @@ from kodaira.scalars import (
     ComplexApprox,
     as_approx,
     coincide,
+    _decide,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kodaira"
@@ -63,6 +70,93 @@ def test_coincide_band_raises(distance):
 @given(st.floats(COINCIDENCE_GUARD * TOL, 1e10))
 def test_coincide_from_guard_on(distance):
     assert coincide(distance, TOL, "test") is False
+
+
+# -- the classifier from the difference's exponents ---------------------------------------
+
+# tolerances whose thresholds sit at different places within a binade
+EXPONENT_TOLS = (1e-30, 1e-25, 2.0 ** -90)
+
+
+def _edge_magnitudes(tol: float) -> list:
+    """Floats at the edges that ``coincide`` and the exponent thresholds compare against."""
+    guard = COINCIDENCE_GUARD * tol
+    values = [tol, guard]
+    values += [math.nextafter(v, toward) for v in (tol, guard) for toward in (0, math.inf)]
+    values += [math.ldexp(1.0, math.frexp(v)[1] + k) for v in (tol, guard) for k in range(-3, 3)]
+    return values
+
+
+@st.composite
+def _parts(draw, prec: int, tol: float):
+    """One libmp part of a difference: ``2^k * tol`` with a random mantissa, an
+    edge magnitude moved by a few ulps at ``prec``, zero, or an infinity."""
+    kind = draw(st.sampled_from(("scaled", "scaled", "edge", "edge", "zero", "inf")))
+    if kind == "zero":
+        return fzero
+    if kind == "inf":
+        return draw(st.sampled_from((finf, fninf)))
+    if kind == "scaled":
+        mantissa = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+        exponent = math.frexp(tol)[1] + draw(st.integers(-300, 300)) - prec
+    else:
+        # the float's 53-bit mantissa, widened to ``prec`` bits, plus a few ulps
+        _, man, exp, bc = from_float(draw(st.sampled_from(_edge_magnitudes(tol))))
+        mantissa = (man << (prec - bc)) + draw(st.integers(-2, 2))
+        exponent = exp - (prec - bc)
+    sign = draw(st.sampled_from((1, -1)))
+    return from_man_exp(sign * mantissa, exponent, prec, round_nearest)
+
+
+@st.composite
+def _differences(draw):
+    prec = draw(st.integers(53, 1024))
+    tol = draw(st.sampled_from(EXPONENT_TOLS))
+    count = draw(st.integers(1, 2))
+    parts = _parts(prec, tol)
+    return [(draw(parts), draw(parts)) for _ in range(count)], prec, tol
+
+
+def _decision(decide, *args):
+    """The bool ``decide`` returns, or what identifies the ambiguity it raises."""
+    try:
+        return decide(*args)
+    except AmbiguousCoincidenceError as exc:
+        return (type(exc), exc.check_name, mpmath.mpf(exc.distance)._mpf_, exc.tol, str(exc))
+
+
+def _decided_by_coincide(differences, prec: int, tol) -> bool:
+    distance = max(mpmath.mp.make_mpf(mpc_abs(d, prec, round_nearest)) for d in differences)
+    return coincide(distance, tol, "test")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_differences())
+def test_exponents_decide_as_coincide_does(case):
+    differences, prec, tol = case
+    assert (_decision(_decide, differences, prec, tol, "test")
+            == _decision(_decided_by_coincide, differences, prec, tol))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-30, math.inf, math.nan, mpmath.mpf(1e-30), 1])
+@pytest.mark.parametrize("magnitude", [0.0, 1e-40, 1e-30, 5e-30, 1e-29, 1.0])
+def test_a_tolerance_without_exponent_bounds_goes_to_coincide(tol, magnitude):
+    differences = [(from_float(magnitude), fzero)]
+    decided = _decision(_decide, differences, 256, tol, "test")
+    reference = _decision(_decided_by_coincide, differences, 256, tol)
+    if isinstance(decided, tuple) and math.isnan(tol):
+        decided, reference = decided[:3] + decided[4:], reference[:3] + reference[4:]
+    assert decided == reference
+
+
+def test_a_settled_decision_computes_no_distance(monkeypatch):
+    monkeypatch.setattr(scalars, "mpc_abs", None)  # any distance computed raises
+    assert not approx(1).is_zero()
+    assert approx(1e-77).is_zero()
+    assert scalars.coordinates_equal((approx(1), approx(2)), (approx(1), approx(2) + approx(1e-60)),
+                                     "test")
+    with pytest.raises(TypeError):
+        approx(2e-30).is_zero()
 
 
 def test_old_import_path_still_works():
@@ -332,6 +426,8 @@ UNCHECKED_USES = [
     ("config_curve.py", "projection_fiber", "_add"),
     ("config_curve.py", "projection_fiber", "_cover"),
     ("config_curve.py", "projection_fiber", "_fiber"),
+    ("config_curve.py", "slot_facts", "_add"),
+    ("config_curve.py", "slot_facts", "_cover"),
     ("elliptic.py", "add", "_add"),
     ("elliptic.py", "multiply", "_add"),
     ("elliptic.py", "multiply", "_add"),
