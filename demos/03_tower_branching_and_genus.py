@@ -19,15 +19,14 @@ config = ConfigurationCurve(X, cert.offsets())
 
 # Fibers over the first coordinate: 2^(r-1) tuples generically.
 sample = config.fiber_over_first(X.branch_point(+1))
-print("fiber size over a first coordinate:", len(sample))
+print("fiber size over a first coordinate:", sample.size)
 print("every tuple re-verifies membership:",
       all(config.contains(t) for t in sample))
 
 # The defining map's Jacobian has one row per condition; its rank must
 # be r - 1 everywhere (that is what makes the curve smooth).  The matrix
 # is an arrowhead, so the rank is a count of its nonzero derivatives.
-report = config.jacobian(sample[0])
-print("Jacobian rank:", report.rank, "of", config.r - 1)
+print("Jacobian rank:", config.jacobian(sample[0]), "of", config.r - 1)
 
 # Branch points of the forget-last-coordinate cover: exactly 2^r of
 # them, namely the tuples whose last coordinate is a cover-critical
@@ -41,9 +40,6 @@ for r in range(1, 9):
     rec, closed = genus(r)
     print(f"  r={r}: genus {rec} (closed form {closed})")
 
-# The tower report bundles counts, genera and the projection degree,
-# and records the base-cover relation it uses.
-tower = config.tower_report()
-print("per-level branch counts:", tower.per_level_branch_counts)
-print("projection degree estimate:", tower.fiber_degree_estimate)
-print(tower.to_json())
+# Each coordinate projection has degree 2^(r-1): count the fibers over
+# both cover-critical points and over three sampled points.
+print("projection degree estimate:", config.projection_degree_estimate(1, samples=3))

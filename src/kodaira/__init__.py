@@ -38,7 +38,6 @@ from .generic_points import (
 from .config_curve import (
     ConfigTuple,
     ConfigurationCurve,
-    TowerReport,
     genus,
     tower_genus_closed_form,
     tower_genus_recursion,
@@ -54,7 +53,7 @@ __all__ = [
     "GenusTwoCurve", "GenusTwoPoint", "X_INFINITY_MINUS", "X_INFINITY_PLUS",
     "GenericityCertificate", "SearchExhausted", "find_generic_points",
     "verify_certificate",
-    "ConfigTuple", "ConfigurationCurve", "TowerReport", "genus",
+    "ConfigTuple", "ConfigurationCurve", "genus",
     "tower_genus_closed_form", "tower_genus_recursion",
     "DivisorExpr", "IntersectionTable", "Transcript", "build_table",
     "canonical_divisor", "intersect", "k_squared", "k_squared_closed_form",

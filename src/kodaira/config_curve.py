@@ -5,11 +5,10 @@ configuration curve consists of the r-tuples ``(p_1, ..., p_r)`` of
 genus-2 points with ``cover(p_i) = cover(p_1) + e_i`` for ``2 <= i <= r``
 (group law on the elliptic curve).  This module provides everything that
 can be computed about it at desk scale: membership, fibers over the
-first coordinate, Jacobian matrices and their structural rank
-(smoothness), the branch points of the forget-last-coordinate tower and
-their count ``2^r``, the genus by Riemann-Hurwitz recursion against its
-closed form ``r * 2^(r-1) + 1``, and coordinate-projection degrees
-``2^(r-1)``.
+first coordinate, the structural rank of the Jacobian (smoothness), the
+branch points of the forget-last-coordinate tower and their count
+``2^r``, the genus by Riemann-Hurwitz recursion against its closed form
+``r * 2^(r-1) + 1``, and coordinate-projection degrees ``2^(r-1)``.
 
 Every enumeration of tuples is a :class:`SlotProduct` made by
 :meth:`ConfigurationCurve.projection_fiber`: every combination of one
@@ -61,11 +60,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -79,13 +76,6 @@ from .scalars import (
     scalar_is_zero,
     scalar_to_json,
 )
-
-_ZERO = Fraction(0)  # the vanishing Jacobian entries share one value
-
-
-class MixedKindError(ValueError):
-    """A tuple mixes exact and approximate coordinates."""
-
 
 class FiberSizesDisagree(RuntimeError):
     """Projection fibers of different sizes; ``counts`` maps each fiber to its size."""
@@ -109,10 +99,6 @@ class ConfigTuple:
 
     def __getitem__(self, i):
         return self.points[i]
-
-    def kinds_uniform(self) -> bool:
-        kinds = {p.is_exact for p in self.points if not p.is_infinity}
-        return len(kinds) <= 1
 
     def as_approx(self, prec: int, tol: float) -> "ConfigTuple":
         converted = []
@@ -139,17 +125,19 @@ class SlotProduct:
     """The tuples of one enumeration: every combination of one choice per slot.
 
     ``slots`` holds each slot's certified choices.  No tuple is stored:
-    ``len`` multiplies the slot sizes, an index is decomposed slot by
-    slot, and iteration reads :meth:`indexed`.
+    :attr:`size` multiplies the slot sizes, an index is decomposed slot
+    by slot, and iteration reads :meth:`indexed`.
     """
 
     slots: tuple
 
-    def __len__(self):
+    @property
+    def size(self) -> int:
+        """The number of tuples, ``2^63`` and more included, which ``len()`` cannot return."""
         return math.prod(map(len, self.slots))
 
     def __getitem__(self, k: int) -> ConfigTuple:
-        k = range(len(self))[k]  # negative indices and IndexError as for a list
+        k = range(self.size)[k]  # negative indices and IndexError as for a list
         picked = []
         for choices in reversed(self.slots):
             k, c = divmod(k, len(choices))
@@ -175,55 +163,13 @@ class Enumeration:
 
     products: tuple
 
-    def __len__(self):
-        return sum(map(len, self.products))
+    @property
+    def size(self) -> int:
+        """The number of tuples, summed over the products."""
+        return sum(product.size for product in self.products)
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.products)
-
-
-@dataclass
-class JacobianReport:
-    matrix: list                 # (r-1) x r entries
-    rank: int
-    full_rank: bool = True       # False flags a genericity violation
-
-
-@dataclass
-class TowerReport:
-    """Counts and genera for the forget-last-coordinate tower."""
-
-    r: int
-    branch_count: int
-    per_level_branch_counts: dict
-    genus_by_recursion: int
-    genus_closed_form: int
-    fiber_degree_estimate: int
-    deg_cover: int = 1
-    base_genus: int = 0
-    base_euler_relation: str = ""
-    notes: str = ""
-
-    def consistent(self) -> bool:
-        return self.genus_by_recursion == self.genus_closed_form
-
-    def to_json_dict(self):
-        return {
-            "r": self.r,
-            "branch_count": self.branch_count,
-            "per_level_branch_counts": {str(k): v for k, v in
-                                        sorted(self.per_level_branch_counts.items())},
-            "genus_by_recursion": self.genus_by_recursion,
-            "genus_closed_form": self.genus_closed_form,
-            "fiber_degree_estimate": self.fiber_degree_estimate,
-            "deg_cover": self.deg_cover,
-            "base_genus": self.base_genus,
-            "base_euler_relation": self.base_euler_relation,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +214,13 @@ def base_genus_from_cover_degree(r: int, deg_cover: int = 1) -> int:
     return 1 + deg_cover * r * 2 ** (r - 1)
 
 
-BASE_EULER_RELATION = "2*gamma - 2 = deg_cover * (2*(r*2^(r-1)+1) - 2)"
-
-BASE_EULER_NOTE = (
-    "base genus follows the unramified-cover relation "
-    "2*gamma - 2 = deg_cover * (2*g_top - 2) with g_top = r*2^(r-1)+1; "
-    "the shorter normalisation 2*gamma - 2 = deg_cover * 2^r is inconsistent "
-    "with the per-section pullback count (gamma-1)/r = deg_cover * 2^(r-1) "
-    "that the projection-degree check measures, and is not used"
-)
-
-
 # ---------------------------------------------------------------------------
 # The configuration curve
 # ---------------------------------------------------------------------------
 
 
 class ConfigurationCurve:
-    """Membership, fibers, Jacobians and branch data for given offsets."""
+    """Membership, fibers, Jacobian ranks and branch data for given offsets."""
 
     def __init__(self, curve: GenusTwoCurve, offsets: list):
         self.curve = curve
@@ -298,16 +233,17 @@ class ConfigurationCurve:
     def contains(self, tup: ConfigTuple) -> bool:
         """Full membership test: on-curve, cover conditions, distinctness.
 
-        Mixed exact/approximate coordinate kinds are rejected outright.
         Decided as the product with one choice per slot, by
-        :meth:`slot_facts`.  Distinctness is decided per slot pair, not
+        :meth:`slot_facts`, after a mix of exact and approximate
+        coordinates is lifted to ComplexApprox as :meth:`projection_fiber`
+        lifts its slots.  Distinctness is decided per slot pair, not
         assumed from the genericity certificate (whose offsets make the
         images ``cover(p_1) + e_i`` pairwise distinct): a tuple that
         repeats a point must fail here.
         """
         if len(tup) != self.r:
             return False
-        one = SlotProduct(tuple((p,) for p in tup))
+        one = SlotProduct(self._uniform([(p,) for p in tup]))
         return self.slot_facts(one).member((0,) * self.r)
 
     # -- fibers over the first coordinate ------------------------------------------
@@ -318,23 +254,16 @@ class ConfigurationCurve:
 
     # -- Jacobian and rank -----------------------------------------------------------
 
-    def jacobian(self, tup: ConfigTuple) -> JacobianReport:
-        """The (r-1) x r Jacobian of the defining map at a member tuple.
+    def jacobian(self, tup: ConfigTuple) -> int:
+        """The rank of the (r-1) x r Jacobian of the defining map at a member tuple.
 
-        Row ``i-1`` expresses the condition on slot ``i``: its first
-        column holds ``-d(cover)/dx`` at ``p_1`` and column ``i`` holds
-        ``d(cover)/dx`` at ``p_i`` (value ``2x`` in the affine chart, a
-        unit at the chart boundary); all other entries vanish.  The rank
-        of this arrowhead is counted structurally by :func:`arrowhead_rank`,
-        for exact and approximate tuples alike.
+        Row ``i-1`` expresses the condition on slot ``i``: ``-d(cover)/dx``
+        at ``p_1`` in the first column and ``d(cover)/dx`` at ``p_i`` in
+        column ``i``.  The rank of this arrowhead is counted structurally by
+        :func:`arrowhead_rank`; the curve is smooth at ``tup`` iff it is
+        ``r - 1``.
         """
-        r = self.r
-        derivs = [self.curve.cover_derivative(p) for p in tup]
-        first = -derivs[0]
-        matrix = [[first] + [derivs[i] if k == i else _ZERO for k in range(1, r)]
-                  for i in range(1, r)]
-        rank = arrowhead_rank(derivs)
-        return JacobianReport(matrix, rank, full_rank=(rank == r - 1))
+        return arrowhead_rank([self.curve.cover_derivative(p) for p in tup])
 
     # -- a whole enumeration from its slots --------------------------------------------
 
@@ -455,19 +384,20 @@ class ConfigurationCurve:
             for i, e in enumerate(self.offsets, start=2)])
         for choices in slots:
             self._certify_distinct(choices)
-        return SlotProduct(tuple(tuple(choices) for choices in slots))
+        return SlotProduct(slots)
 
-    def _uniform(self, slots: list) -> list:
-        """Slot choices in the kind their tuples carry: mixed lifts to ComplexApprox.
+    def _uniform(self, slots: list) -> tuple:
+        """Slot choices, as a tuple of tuples, in the kind their tuples carry.
 
-        The two points of a fiber share their kind, so all tuples of the
-        product have the same kinds, and certifying lifted choices certifies
-        the tuples as emitted.
+        A mix of exact and approximate points lifts to ComplexApprox.  The
+        two points of a fiber share their kind, so all tuples of the product
+        have the same kinds, and certifying lifted choices certifies the
+        tuples as emitted.
         """
-        if ConfigTuple(tuple(p for choices in slots for p in choices)).kinds_uniform():
-            return slots
-        return [list(ConfigTuple(tuple(choices)).as_approx(self.curve.prec, self.curve.tol))
-                for choices in slots]
+        if len({p.is_exact for choices in slots for p in choices if not p.is_infinity}) > 1:
+            slots = [ConfigTuple(tuple(choices)).as_approx(self.curve.prec, self.curve.tol)
+                     for choices in slots]
+        return tuple(map(tuple, slots))
 
     def _certify_distinct(self, choices: list):
         """Raise unless the choices of a two-point slot are certified distinct."""
@@ -492,7 +422,7 @@ class ConfigurationCurve:
         else:
             critical = [self.projection_fiber(j, self.curve.branch_point(sign))
                         for sign in (+1, -1)]
-        counts = {f"critical{sign:+d}": len(fiber)
+        counts = {f"critical{sign:+d}": fiber.size
                   for sign, fiber in zip((+1, -1), critical)}
         drawn = 0
         attempts = 0
@@ -508,35 +438,12 @@ class ConfigurationCurve:
             if any(len(choices) == 1
                    for i, choices in enumerate(fiber.slots, start=1) if i != j):
                 continue  # ramified draw, re-draw
-            counts[f"sample{drawn}"] = len(fiber)
+            counts[f"sample{drawn}"] = fiber.size
             drawn += 1
         values = set(counts.values())
         if len(values) != 1:
             raise FiberSizesDisagree(counts)
         return values.pop()
-
-    # -- reports ----------------------------------------------------------------------
-
-    def tower_report(self, deg_cover: int = 1) -> TowerReport:
-        """Branch counts per level, genus both ways, and degree estimate."""
-        per_level = {}
-        for level in range(2, self.r + 1):
-            sub = ConfigurationCurve(self.curve, self.offsets[:level - 1])
-            per_level[level] = len(sub.branch_enumeration())
-        rec, closed = genus(self.r)
-        est = self.projection_degree_estimate(1, samples=3)
-        return TowerReport(
-            r=self.r,
-            branch_count=per_level.get(self.r, 0),
-            per_level_branch_counts=per_level,
-            genus_by_recursion=rec,
-            genus_closed_form=closed,
-            fiber_degree_estimate=est,
-            deg_cover=deg_cover,
-            base_genus=base_genus_from_cover_degree(self.r, deg_cover),
-            base_euler_relation=BASE_EULER_RELATION,
-            notes=BASE_EULER_NOTE,
-        )
 
     @staticmethod
     def enumeration_to_csv(tuples) -> str:
@@ -639,15 +546,13 @@ class SlotFacts:
     def all_hold(self) -> bool:
         """Whether every tuple is a member of Jacobian rank ``r - 1``.
 
-        True only when the product's coordinate kinds agree, no outcome
-        raised, every choice is on the curve and meets its cover
+        True only when no outcome raised, every choice is on the curve and meets its cover
         conditions, no two choices coincide, and at most one later slot
         has a vanishing derivative, and then no slot-1 choice does.  So
         True means :meth:`member` and :meth:`rank` pass every tuple.
         """
         tables = (self.on_curve, self.covers, self.coincide, self.zero)
-        if (not ConfigTuple(tuple(p for choices in self.slots for p in choices)).kinds_uniform()
-                or any(isinstance(o, Exception) for t in tables for o in t.values())):
+        if any(isinstance(o, Exception) for t in tables for o in t.values()):
             return False
         later = {s for (s, _), zero in self.zero.items() if zero and s}
         first = any(zero for (s, _), zero in self.zero.items() if not s)
@@ -658,13 +563,10 @@ class SlotFacts:
     def member(self, picks: tuple) -> bool:
         """:meth:`ConfigurationCurve.contains` of one tuple, read from the table.
 
-        In the order the conditions are checked on one tuple: its kinds
-        (a mix raises :class:`MixedKindError`), on-curve per slot, the
-        cover conditions, then the slot pairs in ``combinations`` order.
+        In the order the conditions are checked on one tuple: on-curve per
+        slot, the cover conditions, then the slot pairs in ``combinations``
+        order.
         """
-        points = tuple(choices[c] for choices, c in zip(self.slots, picks))
-        if not ConfigTuple(points).kinds_uniform():
-            raise MixedKindError("tuple mixes exact and approximate coordinates")
         if not all(_read(self.on_curve[s, c]) for s, c in enumerate(picks)):
             return False
         c1 = picks[0]

@@ -149,13 +149,14 @@ def _exponent_bounds(tol):
 def _top_exponent(differences):
     """The largest ``exp + bc`` over the nonzero parts of libmp complex ``differences``.
 
-    None when every part is zero or a part is infinite or nan.
+    ``-inf`` when every part is zero, which is a coincidence for every
+    positive ``tol``; None when a part is infinite or nan.
     """
-    top = None
+    top = -math.inf
     for difference in differences:
         for _, man, exp, bc in difference:
             if man:
-                if top is None or exp + bc > top:
+                if exp + bc > top:
                     top = exp + bc
             elif bc:  # inf and nan; a zero has bc == 0
                 return None
@@ -371,22 +372,22 @@ def _rdiv(z, w, prec, rounding):
     return mpc_div(w, z, prec, rounding)
 
 
-def _lift_to_mpc(value, prec: int) -> mpmath.mpc:
-    """Lift a scalar (or a Python or mpmath number) to an mpc rounded to ``prec`` bits."""
+def _lift_to_mpc(value, prec: int) -> tuple:
+    """Lift a scalar (or a Python or mpmath number) to a libmp complex rounded to ``prec`` bits."""
     if isinstance(value, ComplexApprox):
-        return _make_mpc(mpc_pos(value.z._mpc_, prec, round_nearest))
+        return mpc_pos(value.z._mpc_, prec, round_nearest)
     if isinstance(value, int):
-        return _make_mpc((from_int(value, prec, round_nearest), fzero))
+        return from_int(value, prec, round_nearest), fzero
     if isinstance(value, Fraction):
         # mpf(numerator) / denominator, as mpmath rounds it at ``prec``
         quotient = mpf_div(from_int(value.numerator, prec, round_nearest),
                            from_int(value.denominator), prec, round_nearest)
-        return _make_mpc((quotient, fzero))
+        return quotient, fzero
     if isinstance(value, QuadExt):
-        return value.to_mpc(prec)
+        return value.to_mpc(prec)._mpc_
     if isinstance(value, (float, complex, mpmath.mpf, mpmath.mpc)):
         with mpmath.workprec(prec):
-            return mpmath.mpc(value.real, value.imag)
+            return mpmath.mpc(value.real, value.imag)._mpc_
     raise TypeError(f"cannot lift {type(value).__name__} to a complex approximation")
 
 
@@ -409,7 +410,7 @@ class ComplexApprox:
 
     @classmethod
     def of(cls, value, prec: int = DEFAULT_PREC_BITS, tol: float = DEFAULT_TOL) -> "ComplexApprox":
-        return cls(_lift_to_mpc(value, prec), prec, tol)
+        return cls(_make_mpc(_lift_to_mpc(value, prec)), prec, tol)
 
     @classmethod
     def from_re_im_strings(cls, re: str, im: str, prec: int = DEFAULT_PREC_BITS,
@@ -421,7 +422,7 @@ class ComplexApprox:
         """``other`` as a libmp complex, with the precision and tolerance of a result."""
         if isinstance(other, ComplexApprox):
             return other.z._mpc_, max(self.prec, other.prec), max(self.tol, other.tol)
-        return _lift_to_mpc(other, self.prec)._mpc_, self.prec, self.tol
+        return _lift_to_mpc(other, self.prec), self.prec, self.tol
 
     def _binary(self, other, op):
         """``op(self, other)`` for a libmp kernel ``op``, at the result's precision."""
@@ -495,8 +496,7 @@ class ComplexApprox:
 
 def _difference(u, v, prec: int):
     """``u - v`` as a libmp complex, of two scalars lifted to ``prec`` bits."""
-    return mpc_sub(_lift_to_mpc(u, prec)._mpc_, _lift_to_mpc(v, prec)._mpc_, prec,
-                   round_nearest)
+    return mpc_sub(_lift_to_mpc(u, prec), _lift_to_mpc(v, prec), prec, round_nearest)
 
 
 # ---------------------------------------------------------------------------

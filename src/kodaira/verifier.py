@@ -178,32 +178,42 @@ def _check_genericity(ctx: _Context, run: VerificationRun, tally: CheckTally, rn
                                     "certificate": ctx.certificate.to_json_dict()})
 
 
+def _failing_tuples(config: ConfigurationCurve, product, tally: CheckTally):
+    """Record whether each tuple of ``product`` is a member of rank ``r - 1``.
+
+    Yields ``(tuple, member, rank)`` for each tuple that is not.  A product
+    whose slot table holds is recorded at once by multiplication; otherwise
+    each tuple's membership and rank are read back from the table in walk
+    order, so every failing tuple is named and an ambiguity raises where a
+    walk meets it.
+    """
+    facts = config.slot_facts(product)
+    if facts.all_hold():
+        tally.record(True, n=product.size)
+        return
+    for picks, tup in product.indexed():
+        member, rank = facts.member(picks), facts.rank(picks)
+        ok = member and rank == config.r - 1
+        tally.record(ok)
+        if not ok:
+            yield tup, member, rank
+
+
 def _check_membership_and_rank(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):
     config = ctx.config
-    r = config.r
-    want_rank = r - 1
+    want_rank = config.r - 1
     for _ in range(run.sample_count):
         p1 = sample_genus2_point(ctx.curve, rng)
         if p1 is None:
             continue
-        fiber = config.fiber_over_first(p1)
-        facts = config.slot_facts(fiber)
-        if facts.all_hold():
-            tally.record(True, n=len(fiber))
-            continue
-        for picks, tup in fiber.indexed():  # some tuple fails or is ambiguous: find it
-            ok_member = facts.member(picks)
-            rank = facts.rank(picks)
-            ok_rank = rank == want_rank
-            tally.record(ok_member and ok_rank)
-            if not (ok_member and ok_rank):
-                run.counterexamples.append({
-                    "check": "membership_and_rank",
-                    "member": ok_member,
-                    "rank": rank,
-                    "expected_rank": want_rank,
-                    "tuple": tup.to_json_dict(),
-                })
+        for tup, member, rank in _failing_tuples(config, config.fiber_over_first(p1), tally):
+            run.counterexamples.append({
+                "check": "membership_and_rank",
+                "member": member,
+                "rank": rank,
+                "expected_rank": want_rank,
+                "tuple": tup.to_json_dict(),
+            })
     if run.sample_count > 0 and tally.checked == 0:
         tally.record(False)  # all draws rejected: not a vacuous pass
         run.counterexamples.append({"check": "membership_and_rank",
@@ -216,19 +226,19 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
     r = config.r
     points = run.branch_points = config.branch_enumeration()
     expected = 2 ** r
-    ok_count = len(points) == expected
+    ok_count = points.size == expected
     tally.record(ok_count)
     tally.info["expected"] = expected
-    tally.info["found"] = len(points)
+    tally.info["found"] = points.size
     # split by the sign of the forced last coordinate: each last-slot choice
-    # of a product ends len(product) / len(choices) of its tuples, and the
+    # of a product ends product.size / len(choices) of its tuples, and the
     # choices are decided once each, in the order the tuples first meet them
     half = expected // 2
     split = {+1: 0, -1: 0}
     for product in points.products:
         last = product.slots[-1]
         for p in last:
-            split[config.branch_sign(p)] += len(product) // len(last)
+            split[config.branch_sign(p)] += product.size // len(last)
     ok_split = split[+1] == half and split[-1] == half
     tally.record(ok_split)
     tally.info["split"] = {"+1": split[+1], "-1": split[-1]}
@@ -236,22 +246,15 @@ def _check_branch_count(ctx: _Context, run: VerificationRun, tally: CheckTally, 
         run.counterexamples.append({
             "check": "branch_count",
             "expected": expected,
-            "found": len(points),
+            "found": points.size,
             "split": {"+1": split[+1], "-1": split[-1]},
             "points": [t.to_json_dict() for t in points],
         })
     # every branch point is a smooth member
     for product in points.products:
-        facts = config.slot_facts(product)
-        if facts.all_hold():
-            tally.record(True, n=len(product))
-            continue
-        for picks, tup in product.indexed():
-            ok = facts.member(picks) and facts.rank(picks) == r - 1
-            tally.record(ok)
-            if not ok:
-                run.counterexamples.append({"check": "branch_membership",
-                                            "tuple": tup.to_json_dict()})
+        for tup, _, _ in _failing_tuples(config, product, tally):
+            run.counterexamples.append({"check": "branch_membership",
+                                        "tuple": tup.to_json_dict()})
 
 
 def _check_projection_degrees(ctx: _Context, run: VerificationRun, tally: CheckTally, rng):

@@ -159,6 +159,11 @@ def test_a_settled_decision_computes_no_distance(monkeypatch):
         approx(2e-30).is_zero()
 
 
+def test_an_all_zero_difference_is_coincident_without_a_distance(monkeypatch):
+    monkeypatch.setattr(scalars, "mpc_abs", None)  # any distance computed raises
+    assert _decide(((fzero, fzero),), 256, 1e-30, "t") is True
+
+
 def test_old_import_path_still_works():
     from kodaira.config_curve import AmbiguousCoincidenceError as reexported
 

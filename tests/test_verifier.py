@@ -11,7 +11,6 @@ from kodaira.config_curve import (
     ConfigurationCurve,
     Enumeration,
     FiberSizesDisagree,
-    MixedKindError,
     SlotFacts,
     SlotProduct,
     arrowhead_rank,
@@ -304,8 +303,6 @@ class _ReferenceWalk:
 
     def member(self, picks) -> bool:
         curve, elliptic, tup = self.config.curve, self.config.elliptic, self._tuple(picks)
-        if len({p.is_exact for p in tup if not p.is_infinity}) > 1:
-            raise MixedKindError("tuple mixes exact and approximate coordinates")
         if not all(curve.contains(p) for p in tup):
             return False
         for p, e in zip(tup[1:], self.config.offsets):
@@ -405,7 +402,7 @@ def test_off_curve_slot_choice_fails_the_run(monkeypatch):
     mutant = product.slots[2][1]
     found = [c for c in run.counterexamples if c["check"] == "membership_and_rank"]
     assert [c["tuple"] for c in found] == [t.to_json_dict() for t in product if mutant in t]
-    assert len(found) == len(product) // 2
+    assert len(found) == product.size // 2
     assert not any(c["member"] for c in found)
 
 
@@ -450,7 +447,7 @@ def test_naming_a_failing_products_tuples_makes_no_decision(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
     members = [facts.member(picks) and facts.rank(picks) for picks, _ in product.indexed()]
     assert calls == []
-    assert members.count(False) == len(product) // 2
+    assert members.count(False) == product.size // 2
     assert set(members) == {False, 3}
 
 
