@@ -18,6 +18,16 @@ lambda, odd r where even is required), 3 verification failure,
 verifier (such as a lambda inside the guard band of a singular value).
 Reports are deterministic: the same configuration produces
 byte-identical JSON.
+
+Each handler imports the layer it runs, and the module itself imports
+only the standard library, so a fresh interpreter loads just that
+layer: ``invariants``, ``slope-table`` and ``k-squared`` load the exact
+``Fraction`` layer (``symbolic``, ``intersection``, ``invariants``) and
+no mpmath; ``curve-info`` and ``find-points`` load mpmath, ``scalars``,
+``elliptic`` and ``genus2`` or ``generic_points``; ``genus`` loads
+``config_curve`` and the curves under it; ``verify-config-curve`` loads
+the verifier.  A command that fails also loads the exception classes
+``main`` catches.
 """
 
 from __future__ import annotations
@@ -26,23 +36,6 @@ import argparse
 import json
 import math
 import sys
-
-from .config_curve import ConfigurationCurve, genus
-from .elliptic import EllipticCurve, SingularCurveError
-from .generic_points import SearchExhausted, find_generic_points
-from .scalars import (
-    DEFAULT_PREC_BITS,
-    DEFAULT_TOL,
-    AmbiguousCoincidenceError,
-    format_rational,
-    scalar_to_json,
-)
-from .verifier import (
-    PrecisionExhausted,
-    lambda_at,
-    parse_lambda_spec,
-    verify_claim,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,6 +57,8 @@ def _positive(convert, what: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import DEFAULT_PREC_BITS, DEFAULT_TOL
+
     parser = argparse.ArgumentParser(
         prog="kodaira",
         description="construct the fibred-surface family and verify its invariants")
@@ -79,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda", dest="lam", default="1/1",
                            help="curve parameter: 'num/den' or 're,im' (default 1/1)")
             p.add_argument("--precision", type=_positive(int, "positive integer"),
-                           default=DEFAULT_PREC_BITS, help="bits of precision (default 256)")
+                           default=DEFAULT_PREC_BITS,
+                           help="bits of precision (default %(default)s)")
             p.add_argument("--tol", type=_positive(float, "positive finite number"),
                            default=DEFAULT_TOL, help="tolerance of approximate equality")
         if seed:
@@ -133,11 +129,13 @@ def _json_report(command: str, payload: dict) -> str:
 
 
 def _cmd_curve_info(args) -> int:
+    from .elliptic import EllipticCurve
+    from .genus2 import GenusTwoCurve
+    from .scalars import lambda_at, parse_lambda_spec, scalar_to_json
+
     spec = parse_lambda_spec(args.lam)
     lam = lambda_at(spec, args.precision, args.tol)
     curve = EllipticCurve(lam, args.precision, args.tol)
-    from .genus2 import GenusTwoCurve
-
     x_curve = GenusTwoCurve(lam, args.precision, args.tol)
     s_plus = x_curve.branch_point(+1)
     s_minus = x_curve.branch_point(-1)
@@ -166,12 +164,18 @@ def _cmd_curve_info(args) -> int:
 
 
 def _point_json(p) -> dict:
+    from .scalars import scalar_to_json
+
     if p.is_infinity:
         return {"infinity": getattr(p, "infinity_sign", True)}
     return {"x": scalar_to_json(p.x), "y": scalar_to_json(p.y)}
 
 
 def _cmd_find_points(args) -> int:
+    from .elliptic import EllipticCurve
+    from .generic_points import find_generic_points
+    from .scalars import lambda_at, parse_lambda_spec
+
     spec = parse_lambda_spec(args.lam)
     lam = lambda_at(spec, args.precision, args.tol)
     curve = EllipticCurve(lam, args.precision, args.tol)
@@ -181,6 +185,10 @@ def _cmd_find_points(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .config_curve import ConfigurationCurve
+    from .scalars import parse_lambda_spec
+    from .verifier import verify_claim
+
     spec = parse_lambda_spec(args.lam)
     run = verify_claim(spec, args.r, samples=args.samples, seed=args.seed,
                        prec=args.precision, tol=args.tol)
@@ -192,6 +200,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_genus(args) -> int:
+    from .config_curve import genus
+
     rec, closed = genus(args.r)
     payload = {"r": args.r, "genus_by_recursion": rec, "genus_closed_form": closed}
     if args.format == "text":
@@ -232,6 +242,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_slope_table(args) -> int:
+    from . import format_rational
     from .invariants import slope_table, slope_table_csv
 
     if args.format == "csv":
@@ -259,15 +270,31 @@ _COMMANDS = {
 }
 
 
+# An ``except`` clause evaluates its classes only while an exception
+# propagates, so a command that succeeds never loads the numeric layer here.
+def _usage_errors() -> tuple:
+    from .elliptic import SingularCurveError
+    from .generic_points import SearchExhausted
+
+    return ValueError, SingularCurveError, SearchExhausted
+
+
+def _precision_errors() -> tuple:
+    from .scalars import AmbiguousCoincidenceError
+    from .verifier import PrecisionExhausted
+
+    return PrecisionExhausted, AmbiguousCoincidenceError
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, SingularCurveError, SearchExhausted) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrecisionExhausted, AmbiguousCoincidenceError) as exc:
+    except _precision_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION_EXHAUSTED
 

@@ -204,16 +204,6 @@ def genus(r: int) -> tuple:
     return tower_genus_recursion(r), tower_genus_closed_form(r)
 
 
-def base_genus_from_cover_degree(r: int, deg_cover: int = 1) -> int:
-    """Genus of an unramified degree-``deg_cover`` cover of the tower top.
-
-    Riemann-Hurwitz with no ramification:
-    ``2*gamma - 2 = deg_cover * (2*g - 2)`` with ``g = r*2^(r-1) + 1``,
-    hence ``gamma = 1 + deg_cover * r * 2^(r-1)``.
-    """
-    return 1 + deg_cover * r * 2 ** (r - 1)
-
-
 # ---------------------------------------------------------------------------
 # The configuration curve
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import DEFAULT_PREC_BITS, DEFAULT_TOL
 from .scalars import (
     NOT_REPRESENTABLE,
-    DEFAULT_PREC_BITS,
-    DEFAULT_TOL,
     as_approx,
     coordinates_equal,
     is_approx,

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import DEFAULT_PREC_BITS, DEFAULT_TOL
 from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, OffCurveError
 from .scalars import (
     NOT_REPRESENTABLE,
-    DEFAULT_PREC_BITS,
-    DEFAULT_TOL,
     as_approx,
     coordinates_equal,
     is_exact,

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .config_curve import base_genus_from_cover_degree
+from . import format_rational
 from .intersection import GAMMA, R, k_squared, k_squared_closed_form
-from .scalars import format_rational
 from .symbolic import SymbolicScalar
 
 
@@ -38,6 +37,16 @@ def fiber_genus(r: int) -> int:
     if r % 2 != 0:
         raise OddFiberParameterError(f"r must be even, got {r}")
     return 3 + r // 2
+
+
+def base_genus_from_cover_degree(r: int, deg_cover: int = 1) -> int:
+    """Genus of an unramified degree-``deg_cover`` cover of the tower top.
+
+    Riemann-Hurwitz with no ramification:
+    ``2*gamma - 2 = deg_cover * (2*g - 2)`` with ``g = r*2^(r-1) + 1``,
+    hence ``gamma = 1 + deg_cover * r * 2^(r-1)``.
+    """
+    return 1 + deg_cover * r * 2 ** (r - 1)
 
 
 def euler_characteristic(g=None, gamma=None):

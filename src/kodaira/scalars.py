@@ -46,8 +46,8 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-DEFAULT_PREC_BITS = 256
-DEFAULT_TOL = 1e-30
+from . import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational
+
 # distances in [tol, COINCIDENCE_GUARD * tol) are neither equal nor distinct
 COINCIDENCE_GUARD = 10
 
@@ -186,10 +186,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def format_rational(q) -> str:
-    """Render a rational as the canonical ``"num/den"`` string."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+def parse_lambda_spec(text: str):
+    """Parse ``"num/den"`` into a Fraction or ``"re,im"`` into a string pair."""
+    text = text.strip()
+    if "," in text:
+        re_part, im_part = text.split(",", 1)
+        return (re_part.strip(), im_part.strip())
+    return parse_rational(text)
+
+
+def lambda_at(spec, prec: int, tol: float):
+    """Materialise a lambda spec at a given precision."""
+    if isinstance(spec, Fraction):
+        return spec
+    re_part, im_part = spec
+    return ComplexApprox.from_re_im_strings(re_part, im_part, prec, tol)
 
 
 def rational_sqrt(q: Fraction):
@@ -614,9 +625,7 @@ def _scale(values: tuple):
 
 def scalar_to_json(x):
     """Tagged, canonical JSON form; rationals as ``"num/den"`` strings."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return {"kind": "rational", "value": format_rational(x)}
     if isinstance(x, QuadExt):
         return {

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational
 from .config_curve import ConfigurationCurve, FiberSizesDisagree, genus, sample_genus2_point
 from .elliptic import SingularCurveError
 from .generic_points import (
@@ -35,11 +36,8 @@ from .generic_points import (
 from .genus2 import GenusTwoCurve
 from .scalars import (
     AmbiguousCoincidenceError,
-    ComplexApprox,
-    DEFAULT_PREC_BITS,
-    DEFAULT_TOL,
-    format_rational,
-    parse_rational,
+    lambda_at,
+    parse_lambda_spec,
     scalar_is_zero,
 )
 
@@ -48,23 +46,6 @@ import random
 
 class PrecisionExhausted(RuntimeError):
     """Ambiguity persisted after the escalation schedule ran out."""
-
-
-def parse_lambda_spec(text: str):
-    """Parse ``"num/den"`` into a Fraction or ``"re,im"`` into a string pair."""
-    text = text.strip()
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        return (re_part.strip(), im_part.strip())
-    return parse_rational(text)
-
-
-def lambda_at(spec, prec: int, tol: float):
-    """Materialise a lambda spec at a given precision."""
-    if isinstance(spec, Fraction):
-        return spec
-    re_part, im_part = spec
-    return ComplexApprox.from_re_im_strings(re_part, im_part, prec, tol)
 
 
 def lambda_spec_json(spec):

@@ -2,6 +2,10 @@ import argparse
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,8 @@ from kodaira.cli import (
 from kodaira.config_curve import ConfigurationCurve
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve
-from kodaira.scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, AmbiguousCoincidenceError
+from kodaira import DEFAULT_PREC_BITS, DEFAULT_TOL
+from kodaira.scalars import AmbiguousCoincidenceError
 from kodaira.verifier import lambda_at
 
 
@@ -152,6 +157,34 @@ def test_odd_r_exit_code(capsys):
     code, _, err = run_cli(capsys, "invariants", "--r", "7")
     assert code == EXIT_USAGE
     assert "even" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["invariants", "--r", "7"], EXIT_USAGE, "r must be even, got 7", id="odd-r"),
+    pytest.param(["genus", "--r", "0"], EXIT_USAGE, "r must be >= 1", id="genus-r-0"),
+    pytest.param(["curve-info", "--lambda", "0/1"], EXIT_USAGE,
+                 "lam=Fraction(0, 1) gives a singular curve", id="singular-curve-info"),
+    pytest.param(["find-points", "--r", "4", "--lambda=-8/1"], EXIT_USAGE,
+                 "no stride up to 200 passed the exclusions", id="search-exhausted"),
+    pytest.param(["verify-config-curve", "--r", "3", "--samples", "2", "--lambda", "0/1"],
+                 EXIT_USAGE, "lam=Fraction(0, 1) gives a singular curve", id="singular-verify"),
+    pytest.param(["verify-config-curve", "--r", "3", "--samples", "2", "--tol", "1e-1"],
+                 EXIT_PRECISION_EXHAUSTED,
+                 "check 'membership_and_rank' stayed ambiguous at 512 bits",
+                 id="precision-exhausted"),
+    pytest.param(["curve-info", "--lambda=5e-30,0"], EXIT_PRECISION_EXHAUSTED,
+                 "distance 5.0e-30 within the ambiguity band [1e-30, 1.0000000000000001e-29) "
+                 "during zero-test", id="ambiguous-lambda"),
+])
+def test_error_exit_in_a_fresh_interpreter(argv, code, message):
+    # main resolves the exception classes it catches only while one propagates,
+    # in an interpreter that has not loaded them yet
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "kodaira.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", f"error: {message}\n")
 
 
 def test_unknown_flag_exit_code(capsys):

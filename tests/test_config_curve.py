@@ -14,7 +14,6 @@ from kodaira.config_curve import (
     Enumeration,
     SlotProduct,
     arrowhead_rank,
-    base_genus_from_cover_degree,
     genus,
     sample_genus2_point,
     tower_genus_closed_form,
@@ -23,6 +22,7 @@ from kodaira.config_curve import (
 from kodaira.elliptic import EllipticCurve, EllipticPoint, OffCurveError, points_equal
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
+from kodaira.invariants import base_genus_from_cover_degree
 from kodaira.scalars import ComplexApprox, QuadExt, as_approx, quadext
 
 

@@ -5,6 +5,10 @@ the package, running the verifier, a command that works on curves or one
 of the symbolic commands leaves sympy unloaded; the symbolic names still
 resolve, from the package and from ``kodaira.scalars``.  Only the sympy
 bridge of ``kodaira.symbolic`` (``SYM_*`` and ``.expr``) loads it.
+
+Each fresh interpreter loads only the layer it runs: the exact commands
+load neither mpmath nor a numeric module, and the verifier never loads
+the symbolic layer.
 """
 
 import os
@@ -20,14 +24,25 @@ import kodaira.scalars
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def sympy_loaded_after(code: str) -> bool:
-    """Run ``code`` in a fresh interpreter; did it import sympy?"""
+def modules_after(code: str) -> set:
+    """Run ``code`` in a fresh interpreter; the names in its ``sys.modules``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = code + "\nimport sys\nprint('sympy' in sys.modules)\n"
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))\n"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
-    return done.stdout.splitlines()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def sympy_loaded_after(code: str) -> bool:
+    """Run ``code`` in a fresh interpreter; did it import sympy?"""
+    return "sympy" in modules_after(code)
+
+
+def kodaira_loaded_after(code: str) -> tuple:
+    """Run ``code`` in a fresh interpreter; the ``kodaira`` modules it loaded, and mpmath?"""
+    loaded = modules_after(code)
+    return {m for m in loaded if m.split(".")[0] == "kodaira"}, "mpmath" in loaded
 
 
 def cli_run(*argv: str) -> str:
@@ -65,6 +80,37 @@ def test_numeric_pipeline_runs_without_sympy(code):
 ])
 def test_symbolic_layer_runs_without_sympy(code):
     assert not sympy_loaded_after(code)
+
+
+NUMERIC = {f"kodaira.{m}" for m in
+           ("scalars", "elliptic", "genus2", "generic_points", "config_curve", "verifier")}
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(cli_run("invariants", "--r", "8", "--gamma", "2"), id="invariants"),
+    pytest.param(cli_run("slope-table", "--r-min", "8", "--r-max", "40"), id="slope-table"),
+    pytest.param(cli_run("k-squared", "--symbolic"), id="k-squared"),
+    pytest.param("from kodaira import slope, k_squared", id="import-names"),
+])
+def test_exact_commands_load_no_numeric_module(code):
+    modules, mpmath_loaded = kodaira_loaded_after(code)
+    assert not mpmath_loaded
+    assert not modules & NUMERIC
+    assert "kodaira.symbolic" in modules
+
+
+def test_bare_import_loads_no_submodule():
+    assert kodaira_loaded_after("import kodaira") == ({"kodaira"}, False)
+
+
+def test_verifier_loads_the_curves_and_not_the_symbolic_layer():
+    assert kodaira_loaded_after("import kodaira.verifier") == ({"kodaira"} | NUMERIC, True)
+
+
+def test_find_points_loads_no_verifier():
+    modules, _ = kodaira_loaded_after(cli_run("find-points", "--r", "4"))
+    assert modules == {"kodaira", "kodaira.cli", "kodaira.scalars", "kodaira.elliptic",
+                       "kodaira.generic_points"}
 
 
 def test_sympy_bridge_loads_sympy():

@@ -18,7 +18,8 @@ from kodaira.config_curve import (
 from kodaira.elliptic import EllipticCurve, points_equal
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
-from kodaira.scalars import DEFAULT_PREC_BITS, DEFAULT_TOL, ComplexApprox, format_rational
+from kodaira import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational
+from kodaira.scalars import ComplexApprox
 from kodaira.verifier import (
     PrecisionExhausted,
     lambda_at,
