@@ -129,7 +129,7 @@ def _json_report(command: str, payload: dict) -> str:
 
 
 def _cmd_curve_info(args) -> int:
-    from .elliptic import EllipticCurve
+    from .elliptic import EllipticCurve, point_to_json
     from .genus2 import GenusTwoCurve
     from .scalars import lambda_at, parse_lambda_spec, scalar_to_json
 
@@ -145,8 +145,8 @@ def _cmd_curve_info(args) -> int:
         "discriminant": scalar_to_json(curve.discriminant()),
         "j_ratio": scalar_to_json(curve.j_ratio()),
         "j_standard": scalar_to_json(curve.j_standard()),
-        "branch_point_plus": _point_json(s_plus),
-        "branch_point_minus": _point_json(s_minus),
+        "branch_point_plus": point_to_json(s_plus),
+        "branch_point_minus": point_to_json(s_minus),
         "branch_image_difference": {
             "x": scalar_to_json(delta.x), "y": scalar_to_json(delta.y)},
     }
@@ -161,14 +161,6 @@ def _cmd_curve_info(args) -> int:
     else:
         _emit(args, _json_report("curve-info", payload))
     return EXIT_OK
-
-
-def _point_json(p) -> dict:
-    from .scalars import scalar_to_json
-
-    if p.is_infinity:
-        return {"infinity": getattr(p, "infinity_sign", True)}
-    return {"x": scalar_to_json(p.x), "y": scalar_to_json(p.y)}
 
 
 def _cmd_find_points(args) -> int:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .elliptic import points_equal
+from .elliptic import point_to_json, points_equal
 from .genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
 from .scalars import (
     AmbiguousCoincidenceError,
@@ -74,7 +74,6 @@ from .scalars import (
     as_approx,
     coordinate_separates,
     scalar_is_zero,
-    scalar_to_json,
 )
 
 class FiberSizesDisagree(RuntimeError):
@@ -111,13 +110,7 @@ class ConfigTuple:
         return ConfigTuple(tuple(converted))
 
     def to_json_dict(self):
-        out = []
-        for p in self.points:
-            if p.is_infinity:
-                out.append({"infinity": p.infinity_sign})
-            else:
-                out.append({"x": scalar_to_json(p.x), "y": scalar_to_json(p.y)})
-        return out
+        return [point_to_json(p) for p in self.points]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .scalars import (
     is_approx,
     is_exact,
     scalar_is_zero,
+    scalar_to_json,
     scalars_equal,
     sqrt_in_tower,
 )
@@ -60,6 +61,14 @@ def points_equal(p: EllipticPoint, q: EllipticPoint,
     if p.is_infinity or q.is_infinity:
         return p.is_infinity and q.is_infinity
     return coordinates_equal((p.x, p.y), (q.x, q.y), check_name)
+
+
+def point_to_json(p) -> dict:
+    """A point of either curve as JSON: its coordinates, or at infinity
+    ``True`` (the elliptic identity) or its sign (a genus-2 label)."""
+    if p.is_infinity:
+        return {"infinity": getattr(p, "infinity_sign", True)}
+    return {"x": scalar_to_json(p.x), "y": scalar_to_json(p.y)}
 
 
 class EllipticCurve:
@@ -117,9 +126,9 @@ class EllipticCurve:
         """:meth:`add` without the on-curve checks, for points on the curve by construction.
 
         The callers: :meth:`multiply`, which checks ``p`` once;
-        ``generic_points.certify_stride``, whose offsets are multiples of a
-        checked base; ``ConfigurationCurve.projection_fiber``, which
-        adds the offsets to the cover image of a fiber point; and
+        ``generic_points._progression``, which sums multiples of a checked
+        base; ``ConfigurationCurve.projection_fiber``, which adds the
+        offsets to the cover image of a fiber point; and
         ``ConfigurationCurve.slot_facts``, which adds an offset it has
         decided on the curve to the cover image of a choice it has decided
         on the curve.

@@ -7,16 +7,17 @@ the elliptic curve such that every ``e_i`` and every difference
 finds such points and records every comparison in a self-contained,
 re-verifiable certificate.
 
-Strategy: locate one rational point ``P`` by searching x
-coordinates of bounded height, then take ``e_i = [stride * i] P`` for the
-smallest stride whose exclusion checks all pass.  No torsion or rank
-assumption is made -- each exclusion is decided by evaluating the group
-law.  When the parameter is not rational (or no rational point exists in
-range) the search falls back to the known point ``(0, sqrt(lam))`` and,
-for complex parameters, to ComplexApprox arithmetic with distance-based
-checks; such certificates are marked ``approximate``.  An exclusion whose
-distance lands in the ambiguity band of :func:`kodaira.scalars.coincide`
-counts as not passed, so the search rejects a stride it cannot certify.
+Strategy: locate one rational point ``P`` by searching x coordinates of
+bounded height, then take ``e_i = [stride * i] P`` for the smallest
+stride whose exclusion checks all pass.  As ``e_j - e_i = [(j - i) *
+stride] P``, each exclusion is decided once per multiple ``[k * stride]
+P``, k = 1..r, by evaluating the group law; no torsion or rank
+assumption is made.  Without a rational point the search uses the known
+point ``(0, sqrt(lam))``: exact in Q(sqrt(lam)) for a rational
+parameter, ComplexApprox for a complex one, whose certificate is marked
+``approximate``.  An exclusion in the ambiguity band of
+:func:`kodaira.scalars.coincide` counts as not passed, so the search
+rejects a stride it cannot certify.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, points_equal
+from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, point_to_json, points_equal
 from .scalars import (
     AmbiguousCoincidenceError,
     Fraction,
-    as_approx,
     is_approx,
     rational_sqrt,
     scalar_to_json,
@@ -80,9 +80,9 @@ class GenericityCertificate:
             "r": self.r,
             "mode": self.mode,
             "stride": self.stride,
-            "base_point": _point_to_json(self.base_point),
-            "delta": _point_to_json(self.delta),
-            "points": [_point_to_json(p) for p in self.points],
+            "base_point": point_to_json(self.base_point),
+            "delta": point_to_json(self.delta),
+            "points": [point_to_json(p) for p in self.points],
             "checks": [c.to_json_dict() for c in self.checks],
         }
 
@@ -105,40 +105,43 @@ class GenericityCertificate:
         )
 
 
-def _point_to_json(p: EllipticPoint):
-    if p.is_infinity:
-        return {"infinity": True}
-    return {"x": scalar_to_json(p.x), "y": scalar_to_json(p.y)}
-
-
 def _point_from_json(obj) -> EllipticPoint:
     if obj.get("infinity"):
         return EC_INFINITY
     return EllipticPoint(scalar_from_json(obj["x"]), scalar_from_json(obj["y"]))
 
 
-def _exclusion_checks(curve, subject_name, point, delta, checks):
-    neg_delta = curve.neg(delta)
-    for name, excluded in zip(EXCLUDED_NAMES, (EC_INFINITY, delta, neg_delta)):
+def _progression(curve: EllipticCurve, base: EllipticPoint, stride: int, r: int) -> list:
+    """``[k * stride] base`` for k = 1..r: one checked ``multiply``, then unchecked sums."""
+    step = curve.multiply(stride, base)
+    multiples = [step]
+    for _ in range(1, r):
+        multiples.append(curve._add(multiples[-1], step))
+    return multiples
+
+
+def _avoids(point: EllipticPoint, excluded: tuple) -> list:
+    """Whether ``point`` is certifiably distinct from each excluded value."""
+    passed = []
+    for value in excluded:
         try:
-            passed = not points_equal(point, excluded, "genericity-exclusion")
+            passed.append(not points_equal(point, value, "genericity-exclusion"))
         except AmbiguousCoincidenceError:
-            passed = False  # not certifiably distinct
-        checks.append(ExclusionCheck(subject_name, name, passed))
+            passed.append(False)  # ambiguous: not certifiably distinct
+    return passed
 
 
-def _run_all_checks(curve, points, delta) -> list:
-    """Every exclusion for the offsets e_2..e_r, in a fixed order."""
-    checks: list = []
-    r_top = len(points) + 1
-    for idx, e in enumerate(points, start=2):
-        _exclusion_checks(curve, f"e{idx}", e, delta, checks)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            diff = curve.sub(points[j], points[i])
-            _exclusion_checks(curve, f"e{j + 2}-e{i + 2}", diff, delta, checks)
-    assert len(checks) == 3 * (r_top - 1 + (r_top - 1) * (r_top - 2) // 2)
-    return checks
+def _checks(curve: EllipticCurve, multiples: list, delta: EllipticPoint) -> list:
+    """Every exclusion for e_2..e_r, in a fixed order: ``e_i`` reads multiple
+    i and ``e_j-e_i`` reads multiple j - i, each decided once."""
+    excluded = (EC_INFINITY, delta, curve.neg(delta))
+    table = [_avoids(m, excluded) for m in multiples]  # multiple k at k - 1
+    r = len(multiples)
+    subjects = [(f"e{i}", i) for i in range(2, r + 1)]
+    subjects += [(f"e{j}-e{i}", j - i) for i in range(2, r + 1) for j in range(i + 1, r + 1)]
+    return [ExclusionCheck(subject, name, passed)
+            for subject, k in subjects
+            for name, passed in zip(EXCLUDED_NAMES, table[k - 1])]
 
 
 def find_rational_point(curve: EllipticCurve, bound: int):
@@ -163,35 +166,27 @@ def _base_point_ladder(curve: EllipticCurve, bound: int):
     """Base-point candidates in decreasing order of preference.
 
     A rational point of height at most ``bound`` first (rational ``lam``
-    only), then the known point ``(0, sqrt(lam))`` in the exact tower, finally the same point in
-    complex approximation (covers a torsion rational point or torsion
-    multiples of the known point).  So an approximate candidate is
-    always the known point; :func:`base_point_at` relies on that.
+    only), then the known point ``(0, sqrt(lam))``.  For a rational
+    ``lam`` that point is exact, in Q or in Q(sqrt(lam)); an approximate
+    candidate only comes from a complex ``lam``, and is always the known
+    point: :func:`base_point_at` relies on that.
     """
     found = find_rational_point(curve, bound)
     if found is not None:
         yield found
-    known = curve.branch_image(+1)
-    yield known
-    if not is_approx(known.y):
-        yield _lifted(curve, known)
-
-
-def _lifted(curve: EllipticCurve, p: EllipticPoint) -> EllipticPoint:
-    return EllipticPoint(as_approx(p.x, curve.prec, curve.tol),
-                         as_approx(p.y, curve.prec, curve.tol))
+    yield curve.branch_image(+1)
 
 
 def base_point_at(curve: EllipticCurve, base: EllipticPoint) -> EllipticPoint:
     """A certificate's base point re-made on ``curve``, at its precision.
 
     An exact base is the same point at every precision.  An approximate
-    one is the known point ``(0, sqrt(lam))`` (see the search ladder), so
-    it is recomputed on ``curve`` and lifted there.
+    one is the known point ``(0, sqrt(lam))`` of a complex ``lam`` (see
+    the search ladder), which ``curve`` makes at its own precision.
     """
     if not is_approx(base.y):
         return base
-    return _lifted(curve, curve.branch_image(+1))
+    return curve.branch_image(+1)
 
 
 def certify_stride(curve: EllipticCurve, r: int, base: EllipticPoint,
@@ -204,15 +199,10 @@ def certify_stride(curve: EllipticCurve, r: int, base: EllipticPoint,
     """
     delta = curve.delta()
     mode = "approximate" if is_approx(base.y) or is_approx(delta.x) else "exact"
-    step = curve.multiply(stride, base)
-    points = []
-    current = step  # [stride * 1] base
-    for _ in range(2, r + 1):
-        current = curve._add(current, step)  # multiples of the checked base
-        points.append(current)    # e_i = [stride * i] base
+    multiples = _progression(curve, base, stride, r)
     return GenericityCertificate(
         lam=curve.lam, r=r, mode=mode, stride=stride, base_point=base, delta=delta,
-        points=points, checks=_run_all_checks(curve, points, delta),
+        points=multiples[1:], checks=_checks(curve, multiples, delta),
     )
 
 
@@ -240,15 +230,18 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
 
     Self-contained: depends only on the certificate contents.  Exact
     certificates are re-verified with exact arithmetic; approximate ones
-    at the precision and tolerance their own values carry.
+    at the precision and tolerance their own values carry.  Points other
+    than ``[stride * i] base_point``, i = 2..r, of an on-curve base fail.
 
-    An ambiguous exclusion counts as not passed, but a ``delta`` (or an
-    offset's on-curve test) in the guard band of
-    :func:`kodaira.scalars.coincide` raises
+    An ambiguous exclusion counts as not passed, but a ``delta`` (or the
+    base point's on-curve test, or a point's match with its multiple)
+    in the guard band of :func:`kodaira.scalars.coincide` raises
     :class:`AmbiguousCoincidenceError` instead of returning False.  Only
     :func:`kodaira.verifier.verify_claim` escalates precision on that
     raise; any other caller receives it.
     """
+    if len(cert.points) != cert.r - 1:
+        return False
     values = [cert.lam]
     for p in (cert.base_point, cert.delta, *cert.points):
         values += [p.x, p.y]  # both None at infinity
@@ -256,12 +249,12 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
     carried = {"prec": max(v.prec for v in approx),
                "tol": max(v.tol for v in approx)} if approx else {}
     curve = EllipticCurve(cert.lam, **carried)
-    if len(cert.points) != cert.r - 1:
-        return False
     if not points_equal(cert.delta, curve.delta(), "certificate-delta"):
         return False
-    for p in cert.points:
-        if not curve.contains(p):
-            return False
-    checks = _run_all_checks(curve, cert.points, cert.delta)
-    return all(c.passed for c in checks)
+    if not curve.contains(cert.base_point):
+        return False
+    multiples = _progression(curve, cert.base_point, cert.stride, cert.r)
+    if not all(points_equal(p, m, "certificate-offset")
+               for p, m in zip(cert.points, multiples[1:])):
+        return False
+    return all(c.passed for c in _checks(curve, multiples, cert.delta))

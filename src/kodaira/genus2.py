@@ -103,10 +103,10 @@ class GenusTwoCurve:
     # -- distinguished points -------------------------------------------------
 
     def branch_point(self, sign: int = +1) -> GenusTwoPoint:
-        """``(0, +/- sqrt(lam))``: the two critical points of the cover."""
-        root = self._elliptic.sqrt_lam()
-        zero = Fraction(0) if is_exact(root) else as_approx(0, self.prec, self.tol)
-        return GenusTwoPoint.affine(zero, root if sign > 0 else -root)
+        """``(0, +/- sqrt(lam))``: the two critical points of the cover,
+        the same coordinates as their images on the elliptic quotient."""
+        image = self._elliptic.branch_image(sign)
+        return GenusTwoPoint.affine(image.x, image.y)
 
     def differential_divisor(self, k: int) -> list:
         """Zero divisor of the k-th holomorphic differential (degree 2).

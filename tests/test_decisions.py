@@ -26,7 +26,7 @@ from kodaira import scalars
 from kodaira.cli import EXIT_OK, EXIT_PRECISION_EXHAUSTED, EXIT_USAGE, main
 from kodaira.config_curve import ConfigTuple, ConfigurationCurve, SlotProduct, _shared_y_apart
 from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint
-from kodaira.generic_points import _exclusion_checks, find_generic_points
+from kodaira.generic_points import _avoids, find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint, genus2_points_equal
 from kodaira.scalars import (
     COINCIDENCE_GUARD,
@@ -317,9 +317,7 @@ def test_branch_sign_above_band_is_minus(gap):
 def test_ambiguous_exclusion_is_not_passed(gap):
     delta = EllipticPoint(approx(1), approx(2))
     point = EllipticPoint(approx(1) + approx(gap * TOL), approx(2))
-    checks = []
-    _exclusion_checks(E1, "e2", point, delta, checks)
-    assert [c.passed for c in checks] == [True, False, True]
+    assert _avoids(point, (EC_INFINITY, delta, E1.neg(delta))) == [True, False, True]
 
 
 # -- the command line: lambda next to the singular value 0 ------------------------------
@@ -436,7 +434,7 @@ UNCHECKED_USES = [
     ("elliptic.py", "add", "_add"),
     ("elliptic.py", "multiply", "_add"),
     ("elliptic.py", "multiply", "_add"),
-    ("generic_points.py", "certify_stride", "_add"),
+    ("generic_points.py", "_progression", "_add"),
     ("genus2.py", "cover", "_cover"),
     ("genus2.py", "fiber", "_fiber"),
 ]

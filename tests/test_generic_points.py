@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from kodaira import generic_points
-from kodaira.elliptic import EllipticCurve, EllipticPoint
+from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, points_equal
 from kodaira.generic_points import (
+    EXCLUDED_NAMES,
+    ExclusionCheck,
     GenericityCertificate,
     SearchExhausted,
+    certify_stride,
     find_generic_points,
     find_rational_point,
     verify_certificate,
@@ -102,6 +105,67 @@ def test_certificate_is_self_contained(lam_and_bound, r):
     assert verify_certificate(round_tripped)
 
 
+def _pairwise_checks(curve, points, delta):
+    """The exclusions decided the direct way: each offset, then every
+    pairwise difference ``e_j - e_i`` made by the checked group law."""
+    subjects = [(f"e{i}", e) for i, e in enumerate(points, start=2)]
+    subjects += [(f"e{j + 2}-e{i + 2}", curve.sub(points[j], points[i]))
+                 for i in range(len(points)) for j in range(i + 1, len(points))]
+    checks = []
+    for subject, point in subjects:
+        for name, excluded in zip(EXCLUDED_NAMES, (EC_INFINITY, delta, curve.neg(delta))):
+            try:
+                passed = not points_equal(point, excluded)
+            except AmbiguousCoincidenceError:
+                passed = False
+            checks.append(ExclusionCheck(subject, name, passed))
+    return checks
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lambda_and_bound(), st.integers(2, 7))
+def test_checks_read_from_the_multiples_match_the_pairwise_differences(lam_and_bound, r):
+    # e_j - e_i is the multiple j - i of the stride, so a table of r
+    # multiples yields the same checks as every pairwise subtraction, in
+    # exact and in approximate arithmetic; the strides the search passed
+    # over fail some of them
+    lam, bound = lam_and_bound
+    curve = EllipticCurve(lam)
+    try:
+        found = find_generic_points(curve, r, bound=bound)
+    except SearchExhausted:
+        reject()
+    for stride in sorted({1, 2, found.stride}):
+        cert = certify_stride(curve, r, found.base_point, stride)
+        assert cert.checks == _pairwise_checks(curve, cert.points, cert.delta)
+
+
+def test_certificate_binds_its_stride_and_base_point(curve1):
+    # the points must be the progression the certificate names
+    cert = find_generic_points(curve1, 4)
+    assert verify_certificate(cert)
+
+    wrong_stride = GenericityCertificate.from_json(cert.to_json())
+    wrong_stride.stride = 5
+    assert not verify_certificate(wrong_stride)
+
+    off_curve = GenericityCertificate.from_json(cert.to_json())
+    off_curve.base_point = EllipticPoint(Fraction(0), Fraction(2))
+    assert not curve1.contains(off_curve.base_point)
+    assert not verify_certificate(off_curve)
+
+    reversed_points = GenericityCertificate.from_json(cert.to_json())
+    reversed_points.points.reverse()
+    assert not verify_certificate(reversed_points)
+
+
+def test_points_of_the_wrong_length_fail_before_any_walk(curve1, monkeypatch):
+    cert = find_generic_points(curve1, 4)
+    cert.points.pop()
+    monkeypatch.setattr(generic_points, "_progression", None)  # never called
+    assert not verify_certificate(cert)
+
+
 def test_large_r_exact_within_budget(curve1):
     start = time.perf_counter()
     cert = find_generic_points(curve1, 12)
@@ -158,8 +222,8 @@ def test_ambiguous_delta_match_raises():
 
 def test_ladder_exhausts_all_bases(curve1, monkeypatch):
     # with the stride budget capped below the first passing stride every
-    # rung of the base-point ladder fails by evaluation, including the
-    # complex-approximation fallback
+    # rung of the base-point ladder fails by evaluation: the rational point
+    # and the exact known point (0, sqrt(lam))
     monkeypatch.setattr(generic_points, "MAX_STRIDE", 2)
     with pytest.raises(SearchExhausted):
         find_generic_points(curve1, 4)

@@ -79,6 +79,19 @@ def test_full_run_rational_lam():
     assert run.counterexamples == []
 
 
+def test_deep_r_past_a_machine_word():
+    # at r = 64 a fiber holds 2^63 tuples and the branch enumeration 2^64,
+    # more than sys.maxsize: both are counted by multiplication, and the
+    # exact certificate is made and re-verified from its r multiples
+    run = verify_claim("1/1", 64, samples=2)
+    assert run.passed
+    assert run.tallies["membership_and_rank"].checked == 2 * 2 ** 63
+    assert run.tallies["branch_count"].info["found"] == 2 ** 64
+    assert run.tallies["branch_count"].info["split"] == {"+1": 2 ** 63, "-1": 2 ** 63}
+    assert run.escalations == []
+    assert not any(tally.escalated for tally in run.tallies.values())
+
+
 def test_full_run_complex_lam():
     # the construction imposes no reality condition on the parameter
     run = verify_claim("0.5,0.25", 2, samples=8, seed=3)
