@@ -12,8 +12,9 @@ module on first use, so ``from kodaira import slope`` loads the exact
 ``Fraction`` layer (``symbolic``, ``intersection``, ``invariants``) and
 no mpmath, while the curve names load ``scalars`` and mpmath and never
 the symbolic layer.  The numeric defaults, which the command-line parser
-reads, and ``format_rational``, which both layers use, live here so that
-neither reader loads a layer it does not run.
+reads, and ``format_rational`` and the tower genus formulas, which both
+layers use, live here so that neither reader loads a layer it does not
+run.
 """
 
 import importlib
@@ -29,16 +30,42 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def tower_genus_recursion(r: int) -> int:
+    """Genus of the configuration curve via the double-cover recursion.
+
+    Level 1 is the genus-2 curve itself; each step is a double cover with
+    ``2^k`` simple branch points, so ``2*g_k - 2 = 2*(2*g_{k-1} - 2) + 2^k``.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    euler_neg = 2  # 2*g - 2 at level 1 (genus 2)
+    for k in range(2, r + 1):
+        euler_neg = 2 * euler_neg + 2 ** k
+    assert euler_neg % 2 == 0
+    return euler_neg // 2 + 1
+
+
+def tower_genus_closed_form(r: int) -> int:
+    """Closed form ``r * 2^(r-1) + 1``."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    return r * 2 ** (r - 1) + 1
+
+
+def genus(r: int) -> tuple:
+    """Both computations of the genus; they must agree."""
+    return tower_genus_recursion(r), tower_genus_closed_form(r)
+
+
 # public name -> the submodule that defines it
 _HOMES = {name: module for module, names in {
-    "scalars": "ComplexApprox NOT_REPRESENTABLE NotRepresentable QuadExt quadext sqrt_in_tower",
+    "scalars": "ComplexApprox QuadExt quadext sqrt_in_tower tower_sqrt",
     "symbolic": "SymbolicScalar",
     "elliptic": "EllipticCurve EllipticPoint EC_INFINITY",
     "genus2": "GenusTwoCurve GenusTwoPoint X_INFINITY_MINUS X_INFINITY_PLUS",
     "generic_points": "GenericityCertificate SearchExhausted find_generic_points "
                       "verify_certificate",
-    "config_curve": "ConfigTuple ConfigurationCurve genus tower_genus_closed_form "
-                    "tower_genus_recursion",
+    "config_curve": "ConfigTuple ConfigurationCurve",
     "intersection": "DivisorExpr IntersectionTable Transcript build_table canonical_divisor "
                     "intersect k_squared k_squared_closed_form lemma_counts solve_adjunction",
     "invariants": "InvariantReport euler_characteristic fiber_genus invariant_report "
@@ -47,7 +74,8 @@ _HOMES = {name: module for module, names in {
 }.items() for name in names.split()}
 _SUBMODULES = frozenset(_HOMES.values()) | {"cli"}
 
-__all__ = ["DEFAULT_PREC_BITS", "DEFAULT_TOL", "format_rational", *_HOMES]
+__all__ = ["DEFAULT_PREC_BITS", "DEFAULT_TOL", "format_rational", "genus",
+           "tower_genus_closed_form", "tower_genus_recursion", *_HOMES]
 
 
 def __getattr__(name):

@@ -23,10 +23,10 @@ Each handler imports the layer it runs, and the module itself imports
 only the standard library, so a fresh interpreter loads just that
 layer: ``invariants``, ``slope-table`` and ``k-squared`` load the exact
 ``Fraction`` layer (``symbolic``, ``intersection``, ``invariants``) and
-no mpmath; ``curve-info`` and ``find-points`` load mpmath, ``scalars``,
-``elliptic`` and ``genus2`` or ``generic_points``; ``genus`` loads
-``config_curve`` and the curves under it; ``verify-config-curve`` loads
-the verifier.  A command that fails also loads the exception classes
+no mpmath; ``genus`` loads no module beyond the package root and no
+mpmath; ``curve-info`` and ``find-points`` load mpmath, ``scalars``,
+``elliptic`` and ``genus2`` or ``generic_points``; ``verify-config-curve``
+loads the verifier.  A command that fails also loads the exception classes
 ``main`` catches.
 """
 
@@ -129,14 +129,14 @@ def _json_report(command: str, payload: dict) -> str:
 
 
 def _cmd_curve_info(args) -> int:
-    from .elliptic import EllipticCurve, point_to_json
+    from .elliptic import point_to_json
     from .genus2 import GenusTwoCurve
     from .scalars import lambda_at, parse_lambda_spec, scalar_to_json
 
     spec = parse_lambda_spec(args.lam)
     lam = lambda_at(spec, args.precision, args.tol)
-    curve = EllipticCurve(lam, args.precision, args.tol)
     x_curve = GenusTwoCurve(lam, args.precision, args.tol)
+    curve = x_curve.elliptic_quotient()
     s_plus = x_curve.branch_point(+1)
     s_minus = x_curve.branch_point(-1)
     delta = curve.delta()
@@ -192,7 +192,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_genus(args) -> int:
-    from .config_curve import genus
+    from . import genus
 
     rec, closed = genus(args.r)
     payload = {"r": args.r, "genus_by_recursion": rec, "genus_closed_form": closed}

@@ -7,8 +7,9 @@ genus-2 points with ``cover(p_i) = cover(p_1) + e_i`` for ``2 <= i <= r``
 can be computed about it at desk scale: membership, fibers over the
 first coordinate, the structural rank of the Jacobian (smoothness), the
 branch points of the forget-last-coordinate tower and their count
-``2^r``, the genus by Riemann-Hurwitz recursion against its closed form
-``r * 2^(r-1) + 1``, and coordinate-projection degrees ``2^(r-1)``.
+``2^r``, and coordinate-projection degrees ``2^(r-1)``.  The genus
+formulas, Riemann-Hurwitz recursion and closed form ``r * 2^(r-1) + 1``,
+read nothing from the curve and live in the package root.
 
 Every enumeration of tuples is a :class:`SlotProduct` made by
 :meth:`ConfigurationCurve.projection_fiber`: every combination of one
@@ -163,38 +164,6 @@ class Enumeration:
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.products)
-
-
-# ---------------------------------------------------------------------------
-# Genus of the tower
-# ---------------------------------------------------------------------------
-
-
-def tower_genus_recursion(r: int) -> int:
-    """Genus via the double-cover recursion.
-
-    Level 1 is the genus-2 curve itself; each step is a double cover with
-    ``2^k`` simple branch points, so ``2*g_k - 2 = 2*(2*g_{k-1} - 2) + 2^k``.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    euler_neg = 2  # 2*g - 2 at level 1 (genus 2)
-    for k in range(2, r + 1):
-        euler_neg = 2 * euler_neg + 2 ** k
-    assert euler_neg % 2 == 0
-    return euler_neg // 2 + 1
-
-
-def tower_genus_closed_form(r: int) -> int:
-    """Closed form ``r * 2^(r-1) + 1``."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return r * 2 ** (r - 1) + 1
-
-
-def genus(r: int) -> tuple:
-    """Both computations of the genus; they must agree."""
-    return tower_genus_recursion(r), tower_genus_closed_form(r)
 
 
 # ---------------------------------------------------------------------------

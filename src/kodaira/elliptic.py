@@ -14,7 +14,6 @@ from functools import cached_property
 
 from . import DEFAULT_PREC_BITS, DEFAULT_TOL
 from .scalars import (
-    NOT_REPRESENTABLE,
     as_approx,
     coordinates_equal,
     is_approx,
@@ -22,7 +21,7 @@ from .scalars import (
     scalar_is_zero,
     scalar_to_json,
     scalars_equal,
-    sqrt_in_tower,
+    tower_sqrt,
 )
 
 
@@ -190,16 +189,11 @@ class EllipticCurve:
     # -- distinguished points -----------------------------------------------
 
     def sqrt_lam(self):
-        """``sqrt(lam)`` in the exact tower, or a ComplexApprox fallback."""
-        lam = self.lam
-        if isinstance(lam, Fraction):
-            root = sqrt_in_tower(lam, radicand=lam)
-            if root is not NOT_REPRESENTABLE:
-                return root
-            return as_approx(lam, self.prec, self.tol).sqrt()
-        if is_approx(lam):
-            return lam.sqrt()
-        raise TypeError("sqrt(lam) needs a concrete (rational or complex) lam")
+        """``sqrt(lam)``: exact for a rational ``lam``, in Q or in Q(sqrt(lam)),
+        and a ComplexApprox for a complex one."""
+        if not (isinstance(self.lam, Fraction) or is_approx(self.lam)):
+            raise TypeError("sqrt(lam) needs a concrete (rational or complex) lam")
+        return tower_sqrt(self.lam, self.lam, self.prec, self.tol)
 
     def branch_image(self, sign: int = +1) -> EllipticPoint:
         """The point ``(0, +/- sqrt(lam))``: image of a cover branch point."""

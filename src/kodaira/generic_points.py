@@ -23,12 +23,14 @@ rejects a stride it cannot certify.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, point_to_json, points_equal
 from .scalars import (
     AmbiguousCoincidenceError,
     Fraction,
+    decision_scale,
     is_approx,
     rational_sqrt,
     scalar_to_json,
@@ -148,14 +150,12 @@ def find_rational_point(curve: EllipticCurve, bound: int):
     """Smallest-height rational point, by x = a/b search with |a|, b <= bound."""
     if not isinstance(curve.lam, Fraction):
         return None
-    seen = set()
     for a_abs in range(0, bound + 1):
         for b in range(1, bound + 1):
+            if math.gcd(a_abs, b) != 1:
+                continue  # tried in lowest terms already (0 at b = 1)
             for a in sorted({a_abs, -a_abs}):
                 x = Fraction(a, b)
-                if x in seen:
-                    continue
-                seen.add(x)
                 y = rational_sqrt(curve.rhs(x))
                 if y is not None:
                     return EllipticPoint(x, y)
@@ -245,10 +245,8 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
     values = [cert.lam]
     for p in (cert.base_point, cert.delta, *cert.points):
         values += [p.x, p.y]  # both None at infinity
-    approx = [v for v in values if is_approx(v)]
-    carried = {"prec": max(v.prec for v in approx),
-               "tol": max(v.tol for v in approx)} if approx else {}
-    curve = EllipticCurve(cert.lam, **carried)
+    scale = decision_scale(tuple(values))
+    curve = EllipticCurve(cert.lam, *scale) if scale else EllipticCurve(cert.lam)
     if not points_equal(cert.delta, curve.delta(), "certificate-delta"):
         return False
     if not curve.contains(cert.base_point):

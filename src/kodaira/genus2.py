@@ -16,12 +16,12 @@ from fractions import Fraction
 from . import DEFAULT_PREC_BITS, DEFAULT_TOL
 from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, OffCurveError
 from .scalars import (
-    NOT_REPRESENTABLE,
     as_approx,
     coordinates_equal,
+    is_approx,
     is_exact,
     scalar_is_zero,
-    sqrt_in_tower,
+    tower_sqrt,
 )
 
 
@@ -151,8 +151,7 @@ class GenusTwoCurve:
         coordinates, which marks the whole result as approximate.  Raises
         :class:`OffCurveError` for a point off the elliptic curve.
         """
-        if not self._elliptic.contains(q):
-            raise OffCurveError(f"{q!r} is not on {self._elliptic!r}")
+        self._elliptic._require(q)
         return self._fiber(q)
 
     def _fiber(self, q: EllipticPoint) -> list:
@@ -165,17 +164,10 @@ class GenusTwoCurve:
             return [X_INFINITY_PLUS, X_INFINITY_MINUS]
         if scalar_is_zero(q.x):
             return [GenusTwoPoint.affine(q.x, q.y)]
-        if is_exact(q.x):
-            root = sqrt_in_tower(q.x, radicand=self.lam if isinstance(self.lam, Fraction) else None)
-            if root is not NOT_REPRESENTABLE:
-                return [GenusTwoPoint.affine(root, q.y),
-                        GenusTwoPoint.affine(-root, q.y)]
-            approx_root = as_approx(q.x, self.prec, self.tol).sqrt()
-            y = as_approx(q.y, self.prec, self.tol)
-            return [GenusTwoPoint.affine(approx_root, y),
-                    GenusTwoPoint.affine(-approx_root, y)]
-        root = as_approx(q.x, self.prec, self.tol).sqrt()
-        return [GenusTwoPoint.affine(root, q.y), GenusTwoPoint.affine(-root, q.y)]
+        radicand = self.lam if isinstance(self.lam, Fraction) else None
+        root = tower_sqrt(q.x, radicand, self.prec, self.tol)
+        y = as_approx(q.y, self.prec, self.tol) if is_approx(root) else q.y
+        return [GenusTwoPoint.affine(root, y), GenusTwoPoint.affine(-root, y)]
 
     def is_branch_point(self, p: GenusTwoPoint) -> bool:
         """True exactly for the two critical points of the cover (x = 0)."""

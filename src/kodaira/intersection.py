@@ -345,13 +345,7 @@ def canonical_divisor(k: int) -> DivisorExpr:
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    points = ("s1", "t1") if k == 1 else ("s2", "t2")
-    return DivisorExpr({
-        FiberFamily(k): ONE,
-        Pullback(points[0]): ONE,
-        Pullback(points[1]): ONE,
-        SectionFamily(): ONE,
-    })
+    return DivisorExpr({FiberFamily(k): ONE, **pullback_divisor(k).terms, SectionFamily(): ONE})
 
 
 def pullback_divisor(k: int) -> DivisorExpr:

@@ -8,6 +8,10 @@ Three kinds of scalar coexist and interoperate:
 * :class:`ComplexApprox` -- one arbitrary-precision ``mpmath.mpc``
   carrying its working precision and an equality tolerance.
 
+A square root leaves the exact tower in one place, :func:`tower_sqrt`:
+it returns the exact root while that lies in ``Q(sqrt(radicand))`` and
+a ComplexApprox root otherwise.
+
 The symbolic kind, exact rational functions in formal symbols such as
 ``gamma`` and ``r``, lives in :mod:`kodaira.symbolic`.  Its names stay
 importable from here and load that module on first use.
@@ -59,30 +63,6 @@ def __getattr__(name):
 
         return getattr(symbolic, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class NotRepresentable:
-    """Outcome of a square root that leaves the exact tower.
-
-    This is a normal result, not an error: callers fall back to
-    :class:`ComplexApprox` arithmetic when they receive it.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_REPRESENTABLE"
-
-    def __bool__(self):
-        return False
-
-
-NOT_REPRESENTABLE = NotRepresentable()
 
 
 class AmbiguousCoincidenceError(RuntimeError):
@@ -322,20 +302,6 @@ class QuadExt:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result: Union[Fraction, QuadExt] = Fraction(1)
-        base: Union[Fraction, QuadExt] = self
-        while n:
-            if n & 1:
-                result = base * result
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return (
@@ -491,7 +457,7 @@ class ComplexApprox:
         return _make_mpf(mpc_abs(self.z._mpc_, self.prec, round_nearest))
 
     def distance(self, other) -> mpmath.mpf:
-        prec = _scale((self, other))[0]
+        prec = decision_scale((self, other))[0]
         return _make_mpf(mpc_abs(_difference(self, other, prec), prec, round_nearest))
 
     def is_zero(self) -> bool:
@@ -518,9 +484,10 @@ def _difference(u, v, prec: int):
 def sqrt_in_tower(x, radicand=None):
     """Exact square root of ``x`` within ``Q(sqrt(radicand))`` if possible.
 
-    Returns a Fraction or QuadExt ``y`` with ``y*y == x``, or
-    :data:`NOT_REPRESENTABLE` when the root leaves the tower (the caller
-    then falls back to ComplexApprox arithmetic).
+    Returns a Fraction or QuadExt ``y`` with ``y*y == x``, or None when
+    the root leaves the tower, as :func:`rational_sqrt` does.  A QuadExt
+    ``x`` is rooted in its own field.  :func:`tower_sqrt` is the one
+    caller that falls back to ComplexApprox arithmetic on None.
     """
     if isinstance(x, int):
         x = Fraction(x)
@@ -534,12 +501,12 @@ def sqrt_in_tower(x, radicand=None):
             if t is not None:
                 # (t*sqrt(radicand))^2 == t^2 * radicand == x
                 return quadext(0, t, radicand)
-        return NOT_REPRESENTABLE
+        return None
     if isinstance(x, QuadExt):
         # solve (c + d*sqrt(rad))^2 == a + b*sqrt(rad)
         n = rational_sqrt(x.norm())
         if n is None:
-            return NOT_REPRESENTABLE
+            return None
         for signed in (n, -n):
             csq = (x.a + signed) / 2
             c = rational_sqrt(csq)
@@ -548,8 +515,23 @@ def sqrt_in_tower(x, radicand=None):
                 candidate = quadext(c, d, x.radicand)
                 if candidate * candidate == x:
                     return candidate
-        return NOT_REPRESENTABLE
+        return None
     raise TypeError(f"sqrt_in_tower expects an exact scalar, got {type(x).__name__}")
+
+
+def tower_sqrt(x, radicand, prec: int, tol: float):
+    """A square root of ``x``, exact while it stays in the tower.
+
+    The root of :func:`sqrt_in_tower` when ``x`` is exact and its root
+    lies in ``Q(sqrt(radicand))``; otherwise ``as_approx(x, prec,
+    tol).sqrt()``, which roots an approximate ``x`` at its own precision
+    and tolerance.
+    """
+    if is_exact(x):
+        root = sqrt_in_tower(x, radicand)
+        if root is not None:
+            return root
+    return as_approx(x, prec, tol).sqrt()
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +571,7 @@ def coordinates_equal(a: tuple, b: tuple, check_name: str) -> bool:
     approximate entries, so a coordinate inside the ambiguity band does
     not raise when another one is certifiably apart.
     """
-    scale = _scale(a + b)
+    scale = decision_scale(a + b)
     if scale is None:
         return a == b
     prec, tol = scale
@@ -605,7 +587,7 @@ def coordinate_separates(a: tuple, b: tuple, k: int, check_name: str) -> bool:
     ambiguous ``k``-th distance decides nothing, so it returns False
     rather than raising.  All-exact tuples separate iff ``a[k] != b[k]``.
     """
-    scale = _scale(a + b)
+    scale = decision_scale(a + b)
     if scale is None:
         return a[k] != b[k]
     prec, tol = scale
@@ -615,7 +597,7 @@ def coordinate_separates(a: tuple, b: tuple, k: int, check_name: str) -> bool:
         return False
 
 
-def _scale(values: tuple):
+def decision_scale(values: tuple):
     """``(prec, tol)`` of a decision on ``values``: the largest among the approximate ones."""
     approx = [v for v in values if isinstance(v, ComplexApprox)]
     if not approx:

@@ -24,8 +24,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational
-from .config_curve import ConfigurationCurve, FiberSizesDisagree, genus, sample_genus2_point
+from . import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational, genus
+from .config_curve import ConfigurationCurve, FiberSizesDisagree, sample_genus2_point
 from .elliptic import SingularCurveError
 from .generic_points import (
     base_point_at,

@@ -8,8 +8,9 @@ import json
 import time
 from fractions import Fraction
 
+from kodaira import genus
 from kodaira.cli import main as cli_main
-from kodaira.config_curve import ConfigurationCurve, genus, sample_genus2_point
+from kodaira.config_curve import ConfigurationCurve, sample_genus2_point
 from kodaira.generic_points import (
     GenericityCertificate,
     find_generic_points,

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kodaira import config_curve
+from kodaira import config_curve, genus, tower_genus_closed_form, tower_genus_recursion
 from kodaira.config_curve import (
     AmbiguousCoincidenceError,
     ConfigTuple,
@@ -14,10 +14,7 @@ from kodaira.config_curve import (
     Enumeration,
     SlotProduct,
     arrowhead_rank,
-    genus,
     sample_genus2_point,
-    tower_genus_closed_form,
-    tower_genus_recursion,
 )
 from kodaira.elliptic import EllipticCurve, EllipticPoint, OffCurveError, points_equal
 from kodaira.generic_points import find_generic_points

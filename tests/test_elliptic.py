@@ -32,6 +32,15 @@ def test_singular_parameters_rejected():
         EllipticCurve(Fraction(-27, 4))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(max_denominator=1000).filter(lambda q: q not in (0, Fraction(-27, 4))))
+def test_sqrt_lam_of_a_rational_lam_is_exact(lam):
+    # sqrt(lam) lies in Q or in Q(sqrt(lam)), whatever the rational lam
+    root = EllipticCurve(lam).sqrt_lam()
+    assert isinstance(root, (Fraction, QuadExt))
+    assert root * root == lam
+
+
 def test_discriminant_values():
     assert EllipticCurve(Fraction(1)).discriminant() == -496
     # the two singular parameters are exactly the zeros of the discriminant

@@ -16,7 +16,7 @@ from kodaira.generic_points import (
     find_rational_point,
     verify_certificate,
 )
-from kodaira.scalars import AmbiguousCoincidenceError, ComplexApprox
+from kodaira.scalars import AmbiguousCoincidenceError, ComplexApprox, rational_sqrt
 
 
 @pytest.fixture
@@ -27,6 +27,31 @@ def curve1():
 def test_rational_point_search(curve1):
     p = find_rational_point(curve1, bound=10)
     assert p == EllipticPoint(Fraction(0), Fraction(1))
+
+
+def _rational_point_with_seen_set(curve, bound):
+    """The search as it was: every x = a/b, skipping a value already tried."""
+    seen = set()
+    for a_abs in range(0, bound + 1):
+        for b in range(1, bound + 1):
+            for a in sorted({a_abs, -a_abs}):
+                x = Fraction(a, b)
+                if x in seen:
+                    continue
+                seen.add(x)
+                y = rational_sqrt(curve.rhs(x))
+                if y is not None:
+                    return EllipticPoint(x, y)
+    return None
+
+
+def test_rational_point_search_matches_the_seen_set_search():
+    lams = {Fraction(n, d) for n in range(-24, 25) for d in range(1, 7)} - {0, Fraction(-27, 4)}
+    assert len(lams) == 184
+    for lam in sorted(lams):
+        curve = EllipticCurve(lam)
+        for bound in (0, 1, 3, 10, 30):
+            assert find_rational_point(curve, bound) == _rational_point_with_seen_set(curve, bound)
 
 
 def test_stride_three_for_lam_one(curve1):

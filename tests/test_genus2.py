@@ -91,6 +91,18 @@ def test_fiber_exact_square_x(curve1):
     assert len(fiber) == 2
 
 
+def test_fiber_over_an_exact_non_square_x_shares_one_lifted_y(curve1):
+    # [3](0, 1) = (72, 611), and 72 is not a square in Q: both preimages
+    # are approximate and carry the one lifted y
+    q = curve1.elliptic_quotient().multiply(3, EllipticPoint(Fraction(0), Fraction(1)))
+    assert q == EllipticPoint(Fraction(72), Fraction(611))
+    plus, minus = curve1.fiber(q)
+    root = as_approx(Fraction(72), curve1.prec, curve1.tol).sqrt()
+    assert (plus.x, minus.x) == (root, -root)
+    assert plus.y is minus.y
+    assert plus.y == as_approx(Fraction(611), curve1.prec, curve1.tol)
+
+
 def test_fiber_at_branch_image_is_single(curve1):
     q = EllipticPoint(Fraction(0), Fraction(1))
     fiber = curve1.fiber(q)

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from kodaira import scalars
 from kodaira.scalars import (
     ComplexApprox,
-    NOT_REPRESENTABLE,
     QuadExt,
     SymbolicScalar,
+    as_approx,
     coordinate_separates,
     coordinates_equal,
     quadext,
@@ -21,6 +21,7 @@ from kodaira.scalars import (
     scalars_equal,
     sqrt_in_tower,
     symbols,
+    tower_sqrt,
 )
 from kodaira.symbolic import NAMES, from_string
 
@@ -101,17 +102,44 @@ def test_sqrt_in_tower_radicand_multiple():
 
 
 def test_sqrt_in_tower_not_representable():
-    assert sqrt_in_tower(Fraction(3), radicand=Fraction(2)) is NOT_REPRESENTABLE
-    assert sqrt_in_tower(Fraction(-1)) is NOT_REPRESENTABLE
-    assert not NOT_REPRESENTABLE  # falsy sentinel, a normal outcome
+    assert sqrt_in_tower(Fraction(3), radicand=Fraction(2)) is None
+    assert sqrt_in_tower(Fraction(-1)) is None
 
 
 def test_sqrt_of_quadext_element():
     # (1 + sqrt(2))^2 = 3 + 2*sqrt(2)
     target = quadext(3, 2, Fraction(2))
     root = sqrt_in_tower(target)
-    assert root is not NOT_REPRESENTABLE
+    assert root is not None
     assert root * root == target
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(max_denominator=50).filter(lambda q: q != 0),
+       st.one_of(st.none(), st.fractions(max_denominator=50).filter(lambda q: q != 0)),
+       st.sampled_from([(64, 1e-10), (256, 1e-30)]))
+def test_tower_sqrt_leaves_the_tower_as_as_approx_does(x, radicand, scale):
+    prec, tol = scale
+    root = tower_sqrt(x, radicand, prec, tol)
+    if sqrt_in_tower(x, radicand) is None:
+        expected = as_approx(x, prec, tol).sqrt()
+        assert isinstance(root, ComplexApprox)
+        assert (root.z._mpc_, root.prec, root.tol) == (expected.z._mpc_, prec, tol)
+    else:
+        assert root * root == x
+
+
+def test_tower_sqrt_exact_roots_stay_exact():
+    assert tower_sqrt(Fraction(9, 4), None, 64, 1e-10) == Fraction(3, 2)
+    assert tower_sqrt(Fraction(8), Fraction(2), 64, 1e-10) == quadext(0, 2, Fraction(2))
+    target = quadext(3, 2, Fraction(2))  # (1 + sqrt(2))^2
+    assert tower_sqrt(target, Fraction(2), 64, 1e-10) == quadext(1, 1, Fraction(2))
+
+
+def test_tower_sqrt_of_an_approximate_input_keeps_its_precision():
+    x = ComplexApprox.of(Fraction(2), 100, 1e-20)
+    root = tower_sqrt(x, Fraction(2), 256, 1e-30)
+    assert (root.z._mpc_, root.prec, root.tol) == (x.sqrt().z._mpc_, 100, 1e-20)
 
 
 def test_rational_sqrt():

@@ -113,6 +113,11 @@ def test_find_points_loads_no_verifier():
                        "kodaira.generic_points"}
 
 
+def test_genus_loads_no_curve_module():
+    # the genus formulas live in the package root
+    assert kodaira_loaded_after(cli_run("genus", "--r", "8")) == ({"kodaira", "kodaira.cli"}, False)
+
+
 def test_sympy_bridge_loads_sympy():
     # the probes above are not vacuous
     assert sympy_loaded_after("import kodaira.scalars\nkodaira.scalars.SYM_GAMMA")
