@@ -3,8 +3,10 @@
 A refactor of the arithmetic or of the enumeration must leave every
 report it produces unchanged.  These digests pin the sha256 of
 ``verify_claim(lam, r, samples=8, seed=seed).to_json()`` for ``1/1`` at
-r = 3..6 and ``0.3,0.7`` at r = 3..5 with seeds 0 and 1, and, for seed
-0, the CSV of the branch points that run checked.
+r = 3..6, ``0.3,0.7`` at r = 3..5, and the non-square rationals ``2/1``
+and ``-7/3`` at r = 3 and 8 (whose critical points lie in
+``Q(sqrt(lam))``), with seeds 0 and 1, and, for seed 0, the CSV of the
+branch points that run checked.
 """
 
 import hashlib
@@ -44,6 +46,22 @@ GOLDEN = {
         "0a6dcc910db87585b69bb15d8171b0b027a1d015c810f323c28ac08e01c46b59",
         "f9cdd639362ce42bf763b34fd5e267def6f16e7c30c0c296a34555d95b3ffeb7",
         "1ee54256c383c3560bfe9f8de1946adcdd0da14cd9005ef75e5e21094c1afaa4"),
+    ("2/1", 3): (
+        "843664c66aab0f46e5039bad03e4b729e1d3c6130d23319208eaf94901daf3df",
+        "829bbba162c5d34f90345902ed08e1dc1087668afbc7d682e996653790b5f5af",
+        "993989255b907552e87a95571b5c95650ac3719dce4c2e24a83efb1f1ea62cb0"),
+    ("2/1", 8): (
+        "99f0630b67f15edb23864fa0499a34cdd586d55c38e85124cdead907d5e0761f",
+        "a731dc7f0ea2688fb3a75d30fb3b7eea202cf497dba1a62ce1f4641295d5fc2f",
+        "0732f0fa804b89814441037fd1cfe7791f91d78d98fe81a9c530f918b69e560f"),
+    ("-7/3", 3): (
+        "3fc526f2c78dbb3eb6adb4a9b583a92804928322cfdfd0c1c324e1736f15c88f",
+        "b42f77b200141158dca8f6b5944af10a660f80ab09e090f2cd819a3ccbd9b20a",
+        "5a338f94cc81a701bdda0b0a3e779f972840aa704357d28646b0faf75a77cf66"),
+    ("-7/3", 8): (
+        "4b18f7f85e9cc7fe1e248e1dc067791e59da99476dc271ad1cdacb5e0d2ed9db",
+        "da512629e59b14a784e286341af22139e4a1409111d945233c612d3aba794e6e",
+        "1a423c85d66ddd448f18bd8675a942a54c8beb82a81a504f6487ae8d7850fded"),
 }
 
 
