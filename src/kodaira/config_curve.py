@@ -18,9 +18,16 @@ given point.  The later fibers depend only on ``cover(p_1)``, which both
 choices of ``p_1`` share, so every slot has one fiber for the whole
 enumeration and two tuples differ at the first slot where their choices
 differ.  So the tuples are pairwise distinct once the two points of every
-two-point slot fiber are certified distinct: one decision per slot, made
-on the points in the coordinate kind the tuples carry.  The tuples
-themselves are built only when a caller iterates or indexes the product.
+two-point slot fiber are certified distinct: one decision per slot.  The
+tuples themselves are built only when a caller iterates or indexes the
+product.
+
+The curve computes in one kind, ComplexApprox: it lifts each input once
+at the genus-2 curve's precision and tolerance (the offsets when it is
+built, the ``value`` of a projection fiber, the tuple tested for
+membership), so every slot choice is approximate or a label at infinity.
+Exact arithmetic lives in the certificates, ``curve-info`` and
+``find-points``.
 
 Membership and rank follow from the slots too.  Each condition is about
 one coordinate (on the curve; the cover derivative and its zero test),
@@ -63,7 +70,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 
@@ -101,14 +108,7 @@ class ConfigTuple:
         return self.points[i]
 
     def as_approx(self, prec: int, tol: float) -> "ConfigTuple":
-        converted = []
-        for p in self.points:
-            if p.is_infinity:
-                converted.append(p)
-            else:
-                converted.append(GenusTwoPoint.affine(
-                    as_approx(p.x, prec, tol), as_approx(p.y, prec, tol)))
-        return ConfigTuple(tuple(converted))
+        return ConfigTuple(tuple(_lift(p, prec, tol) for p in self.points))
 
     def to_json_dict(self):
         return [point_to_json(p) for p in self.points]
@@ -177,7 +177,7 @@ class ConfigurationCurve:
     def __init__(self, curve: GenusTwoCurve, offsets: list):
         self.curve = curve
         self.elliptic = curve.elliptic_quotient()
-        self.offsets = list(offsets)          # e_2 .. e_r
+        self.offsets = [_lift(e, curve.prec, curve.tol) for e in offsets]  # e_2 .. e_r
         self.r = len(self.offsets) + 1
 
     # -- membership ---------------------------------------------------------------
@@ -185,17 +185,16 @@ class ConfigurationCurve:
     def contains(self, tup: ConfigTuple) -> bool:
         """Full membership test: on-curve, cover conditions, distinctness.
 
-        Decided as the product with one choice per slot, by
-        :meth:`slot_facts`, after a mix of exact and approximate
-        coordinates is lifted to ComplexApprox as :meth:`projection_fiber`
-        lifts its slots.  Distinctness is decided per slot pair, not
+        Decided on the tuple lifted to ComplexApprox (see the module
+        docstring), as the product with one choice per slot, by
+        :meth:`slot_facts`.  Distinctness is decided per slot pair, not
         assumed from the genericity certificate (whose offsets make the
         images ``cover(p_1) + e_i`` pairwise distinct): a tuple that
         repeats a point must fail here.
         """
         if len(tup) != self.r:
             return False
-        one = SlotProduct(self._uniform([(p,) for p in tup]))
+        one = SlotProduct(tuple((p,) for p in tup.as_approx(self.curve.prec, self.curve.tol)))
         return self.slot_facts(one).member((0,) * self.r)
 
     # -- fibers over the first coordinate ------------------------------------------
@@ -318,10 +317,12 @@ class ConfigurationCurve:
         holds ``value`` and every other slot ``i`` the fiber over
         ``cover(p_1) + e_i``; a slot whose target is a branch image has one
         choice.  The choices ``(+-x, y)`` of slot 1 share the cover image
-        ``(x^2, y)``, so every later slot fiber is built once.
+        ``(x^2, y)``, so every later slot fiber is built once.  ``value``
+        is lifted to ComplexApprox on entry.
         """
         if not 1 <= j <= self.r:
             raise ValueError("projection index out of range")
+        value = _lift(value, self.curve.prec, self.curve.tol)
         if j == 1:
             p1_choices = [value]
             base_image = self.curve.cover(value)
@@ -331,25 +332,12 @@ class ConfigurationCurve:
             base_image = self.curve._cover(p1_choices[0])
         # ``value`` is checked above; the fiber points and their sums with
         # the offsets are on the curves by construction
-        slots = self._uniform([p1_choices] + [
+        slots = tuple(map(tuple, [p1_choices] + [
             [value] if i == j else self.curve._fiber(self.elliptic._add(base_image, e))
-            for i, e in enumerate(self.offsets, start=2)])
+            for i, e in enumerate(self.offsets, start=2)]))
         for choices in slots:
             self._certify_distinct(choices)
         return SlotProduct(slots)
-
-    def _uniform(self, slots: list) -> tuple:
-        """Slot choices, as a tuple of tuples, in the kind their tuples carry.
-
-        A mix of exact and approximate points lifts to ComplexApprox.  The
-        two points of a fiber share their kind, so all tuples of the product
-        have the same kinds, and certifying lifted choices certifies the
-        tuples as emitted.
-        """
-        if len({p.is_exact for choices in slots for p in choices if not p.is_infinity}) > 1:
-            slots = [ConfigTuple(tuple(choices)).as_approx(self.curve.prec, self.curve.tol)
-                     for choices in slots]
-        return tuple(map(tuple, slots))
 
     def _certify_distinct(self, choices: list):
         """Raise unless the choices of a two-point slot are certified distinct."""
@@ -365,9 +353,10 @@ class ConfigurationCurve:
         ``samples`` generic points.  A draw is ramified -- and re-drawn --
         when some *other* slot's elliptic target lands on a branch image.
         That slot's fiber is then the one cover-critical point over it, so
-        the draw is ramified iff a slot other than ``j`` has one choice;
-        the count itself is never used to decide a re-draw.  Returns the
-        common cardinality or raises :class:`FiberSizesDisagree`.
+        the draw is ramified iff a slot other than ``j`` has one choice
+        and it is critical (``x = 0``, as the cover fiber decided); a
+        slot that lost a point otherwise is counted.  Returns the common
+        cardinality or raises :class:`FiberSizesDisagree`.
         """
         if j == self.r:
             critical = self._critical_fibers
@@ -387,7 +376,8 @@ class ConfigurationCurve:
             if pt is None:
                 continue
             fiber = self.projection_fiber(j, pt)
-            if any(len(choices) == 1
+            if any(len(choices) == 1 and not choices[0].is_infinity
+                   and scalar_is_zero(choices[0].x)
                    for i, choices in enumerate(fiber.slots, start=1) if i != j):
                 continue  # ramified draw, re-draw
             counts[f"sample{drawn}"] = fiber.size
@@ -420,6 +410,13 @@ class ConfigurationCurve:
                 else:
                     row += [_scalar_str(p.x), _scalar_str(p.y)]
             yield ",".join(row) + "\n"
+
+
+def _lift(p, prec: int, tol: float):
+    """A point of either curve with ComplexApprox coordinates; a point at infinity as is."""
+    if p.is_infinity:
+        return p
+    return replace(p, x=as_approx(p.x, prec, tol), y=as_approx(p.y, prec, tol))
 
 
 def _scalar_str(x) -> str:

@@ -169,24 +169,13 @@ def _base_point_ladder(curve: EllipticCurve, bound: int):
     only), then the known point ``(0, sqrt(lam))``.  For a rational
     ``lam`` that point is exact, in Q or in Q(sqrt(lam)); an approximate
     candidate only comes from a complex ``lam``, and is always the known
-    point: :func:`base_point_at` relies on that.
+    point: an escalated verification re-makes it at its own precision
+    (``kodaira.verifier._Context``).
     """
     found = find_rational_point(curve, bound)
     if found is not None:
         yield found
     yield curve.branch_image(+1)
-
-
-def base_point_at(curve: EllipticCurve, base: EllipticPoint) -> EllipticPoint:
-    """A certificate's base point re-made on ``curve``, at its precision.
-
-    An exact base is the same point at every precision.  An approximate
-    one is the known point ``(0, sqrt(lam))`` of a complex ``lam`` (see
-    the search ladder), which ``curve`` makes at its own precision.
-    """
-    if not is_approx(base.y):
-        return base
-    return curve.branch_image(+1)
 
 
 def certify_stride(curve: EllipticCurve, r: int, base: EllipticPoint,

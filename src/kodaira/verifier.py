@@ -12,9 +12,10 @@ One that falls into the ambiguity band (closer than ten tolerances but
 not within one) raises, and :func:`verify_claim` escalates inline: the
 affected check is re-executed from scratch at double the precision (the
 schedule is ``[prec, 2 * prec]``), on the same configuration -- the base
-certificate's base point and stride, re-made at that precision and
-re-checked there; if it is still ambiguous there the run fails loudly
-with a distinct status instead of silently merging nearby points.
+certificate itself when it is exact, else its stride re-made at that
+precision and re-checked there; if it is still ambiguous there the run
+fails loudly with a distinct status instead of silently merging nearby
+points.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from fractions import Fraction
 from . import DEFAULT_PREC_BITS, DEFAULT_TOL, format_rational, genus
 from .config_curve import ConfigurationCurve, FiberSizesDisagree, sample_genus2_point
 from .elliptic import SingularCurveError
-from .generic_points import (
-    base_point_at,
-    certify_stride,
-    find_generic_points,
-    verify_certificate,
-)
+from .generic_points import certify_stride, find_generic_points, verify_certificate
 from .genus2 import GenusTwoCurve
 from .scalars import (
     AmbiguousCoincidenceError,
@@ -121,9 +117,12 @@ class VerificationRun:
 class _Context:
     """Curves and certificate built at one precision.
 
-    With a ``base`` context the offsets are not searched for again: the
-    base certificate's base point and stride are re-made and re-checked
-    at this precision, so an escalated check sees the same configuration.
+    With a ``base`` context the offsets are not searched for again, so an
+    escalated check sees the same configuration: an exact base certificate
+    is reused, as exact values are the same at every precision, and an
+    approximate one (a complex ``lam``, whose base is the known point
+    ``(0, sqrt(lam))``) is re-made at this precision from that point and
+    the base stride.  The configuration curve lifts the offsets.
     """
 
     def __init__(self, lam_spec, r: int, prec: int, tol: float, base: "_Context" = None):
@@ -134,10 +133,11 @@ class _Context:
         self.elliptic = self.curve.elliptic_quotient()
         if base is None:
             self.certificate = find_generic_points(self.elliptic, r)
+        elif base.certificate.mode == "exact":
+            self.certificate = base.certificate
         else:
-            found = base.certificate
             self.certificate = certify_stride(
-                self.elliptic, r, base_point_at(self.elliptic, found.base_point), found.stride)
+                self.elliptic, r, self.elliptic.branch_image(+1), base.certificate.stride)
         self.config = ConfigurationCurve(self.curve, self.certificate.offsets())
 
 

@@ -16,7 +16,7 @@ from kodaira.config_curve import (
     arrowhead_rank,
     sample_genus2_point,
 )
-from kodaira.elliptic import EllipticCurve, EllipticPoint, OffCurveError, points_equal
+from kodaira.elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, OffCurveError, points_equal
 from kodaira.generic_points import find_generic_points
 from kodaira.genus2 import GenusTwoCurve, GenusTwoPoint
 from kodaira.invariants import base_genus_from_cover_degree
@@ -218,7 +218,7 @@ def test_jacobian_exact_entries_structure():
     # slot (0) and 2x = 1 at x = 1/2 in the later slots, so both rows have
     # their own pivot; (1/2, 9/8) is an exact affine point: rhs(1/2) = 81/64
     curve = GenusTwoCurve(Fraction(1))
-    cc = ConfigurationCurve(curve, [None, None])  # offsets unused here
+    cc = ConfigurationCurve(curve, [EC_INFINITY, EC_INFINITY])  # offsets unused here
     s = curve.branch_point(+1)
     t = GenusTwoPoint.affine(Fraction(1, 2), Fraction(9, 8))
     assert curve.contains(t)
@@ -231,7 +231,7 @@ def test_two_critical_coordinates_drop_rank():
     # negative control: cannot occur on certified offsets, but the rank
     # computation must report it honestly
     curve = GenusTwoCurve(Fraction(1))
-    cc = ConfigurationCurve(curve, [None, None])
+    cc = ConfigurationCurve(curve, [EC_INFINITY, EC_INFINITY])
     s_plus = curve.branch_point(+1)
     s_minus = curve.branch_point(-1)
     generic = GenusTwoPoint.affine(Fraction(1, 2), Fraction(9, 8))
@@ -397,14 +397,15 @@ def test_repeated_critical_point_raises(monkeypatch):
 
 
 def test_exact_pair_coinciding_once_lifted_raises(monkeypatch):
-    # a middle slot whose two exact choices are 1e-40 apart: exactly they
-    # differ, but the tuples around them are approximate, so the emitted
-    # (lifted) tuples coincide and the certificate must say so
+    # a middle slot whose two choices are 1e-40 apart: exactly their
+    # coordinates differ, but lifted they coincide, so the emitted tuples
+    # coincide and the certificate must say so
     curve, cc = _complex_curve(3)
     first_images = [cc.elliptic.sub(curve.cover(curve.branch_point(sign)), cc.offsets[-1])
                     for sign in (+1, -1)]
-    near_pair = [GenusTwoPoint.affine(Fraction(1), Fraction(2)),
-                 GenusTwoPoint.affine(1 + Fraction(1, 10 ** 40), Fraction(2))]
+    near_pair = [GenusTwoPoint.affine(as_approx(x, curve.prec, curve.tol),
+                                      as_approx(Fraction(2), curve.prec, curve.tol))
+                 for x in (Fraction(1), 1 + Fraction(1, 10 ** 40))]
     original = curve._fiber
 
     def middle_slot_near_pair(q):
@@ -659,7 +660,9 @@ def test_slot_verdict_fails_two_vanishing_derivatives():
     # (bp+, bp-) is a member whose two cover derivatives vanish: rank 0
     curve, cc = _critical_pair_config()
     product = cc.fiber_over_first(curve.branch_point(+1))
-    assert product.slots == ((curve.branch_point(+1),), (curve.branch_point(-1),))
+    lifted = ConfigTuple((curve.branch_point(+1), curve.branch_point(-1))).as_approx(
+        curve.prec, curve.tol)
+    assert product.slots == tuple((p,) for p in lifted)
     facts = cc.slot_facts(product)
     assert not facts.all_hold()
     assert facts.member((0, 0)) and facts.rank((0, 0)) == 0
@@ -727,12 +730,12 @@ def test_off_curve_outcomes_are_the_public_forms_exceptions(slot):
     def member(tup):
         if not all(curve.contains(q) for q in tup):
             return False
-        return (all(cover_condition(tup[0], e, q) for q, e in zip(tup[1:], moved))
+        return (all(cover_condition(tup[0], e, q) for q, e in zip(tup[1:], cc.offsets))
                 and not any(config_curve.genus2_points_equal(a, b, "membership-distinctness")
                             for a, b in itertools.combinations(tup, 2)))
 
     expected = {(s, c1, c): _public_outcome(cover_condition, q1, e, q)
-                for s, e in enumerate(moved, start=1)
+                for s, e in enumerate(cc.offsets, start=1)
                 for c1, q1 in enumerate(product.slots[0])
                 for c, q in enumerate(product.slots[s])}
     stored = {key: _public_outcome(config_curve._read, o) for key, o in facts.covers.items()}

@@ -484,3 +484,69 @@ def test_disagreeing_projection_fibers_fail_the_run(monkeypatch):
     with pytest.raises(FiberSizesDisagree) as excinfo:
         config.projection_degree_estimate(2, samples=3)
     assert excinfo.value.counts == found["counts"]
+
+
+def test_a_sampled_fiber_that_loses_a_point_is_counted(monkeypatch):
+    # every sampled projection fiber drops the second choice of a two-point
+    # slot other than j, so that slot keeps one point that is not critical:
+    # the draw is counted, not re-drawn, and its size disagrees with the
+    # critical fibers'
+    fiber = ConfigurationCurve.projection_fiber
+
+    def lossy(self, j, value):
+        product = fiber(self, j, value)
+        if config_curve.scalar_is_zero(value.x):  # a critical fiber, kept whole
+            return product
+        slots = list(product.slots)
+        k = next(i for i, choices in enumerate(slots, start=1) if i != j and len(choices) == 2)
+        slots[k - 1] = slots[k - 1][:1]
+        return SlotProduct(tuple(slots))
+
+    monkeypatch.setattr(ConfigurationCurve, "projection_fiber", lossy)
+    run = verify_claim("1/1", 4, samples=1)
+    assert run.status == "fail"
+    found = [c for c in run.counterexamples if c["check"] == "projection_degrees"]
+    assert [c["j"] for c in found] == [1, 2, 4]
+    assert all(c["counts"] == {"critical+1": 8, "critical-1": 8,
+                               "sample0": 4, "sample1": 4, "sample2": 4} for c in found)
+
+
+def test_every_slot_of_a_rational_run_is_approximate(monkeypatch):
+    # the configuration curve lifts its inputs once: every product a
+    # rational run decides holds ComplexApprox coordinates or infinity labels
+    facts, products = ConfigurationCurve.slot_facts, []
+    monkeypatch.setattr(ConfigurationCurve, "slot_facts",
+                        lambda self, product: products.append(product) or facts(self, product))
+    run = verify_claim("2/1", 5, samples=4)
+    assert run.passed and len(products) == 4 + 2
+    assert all(p.is_infinity or isinstance(p.x, ComplexApprox) and isinstance(p.y, ComplexApprox)
+               for product in products for choices in product.slots for p in choices)
+
+
+def test_escalation_reuses_an_exact_certificate(monkeypatch):
+    # membership is ambiguous at the base precision of a rational run: the
+    # escalated context reuses the exact base certificate, searched once and
+    # never re-made, and its configuration lifts the offsets to its precision
+    contexts, searches, remade = [], [], []
+    search, check = verifier_module.find_generic_points, verifier_module._check_membership_and_rank
+
+    def ambiguous_at_base(ctx, run, tally, rng):
+        contexts.append(ctx)
+        if ctx.prec == DEFAULT_PREC_BITS:
+            raise AmbiguousCoincidenceError("forced", check_name="test",
+                                            distance=0.0, tol=ctx.tol)
+        check(ctx, run, tally, rng)
+
+    monkeypatch.setattr(verifier_module, "_CHECKS", tuple(
+        (name, ambiguous_at_base if name == "membership_and_rank" else f)
+        for name, f in verifier_module._CHECKS))
+    monkeypatch.setattr(verifier_module, "find_generic_points",
+                        lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(verifier_module, "certify_stride", lambda *args: remade.append(args))
+    run = verify_claim("1/1", 3, samples=2, seed=0)
+    assert run.passed
+    assert [e["check"] for e in run.escalations] == ["membership_and_rank"]
+    base, escalated = contexts
+    assert len(searches) == 1 and remade == []
+    assert escalated.certificate is base.certificate and base.certificate.mode == "exact"
+    assert {p.prec for e in escalated.config.offsets for p in (e.x, e.y)} == {2 * DEFAULT_PREC_BITS}
