@@ -23,9 +23,11 @@ tuples themselves are built only when a caller iterates or indexes the
 product.
 
 The curve computes in one kind, ComplexApprox: it lifts each input once
-at the genus-2 curve's precision and tolerance (the offsets when it is
-built, the ``value`` of a projection fiber, the tuple tested for
-membership), so every slot choice is approximate or a label at infinity.
+at the genus-2 curve's precision and tolerance and decides it on its
+curve there (the offsets when it is built, the ``value`` of a projection
+fiber, the tuple tested for membership), so every slot choice is
+approximate or a label at infinity, and the points derived from the
+inputs go through the unchecked ``_cover``, ``_fiber`` and ``_add``.
 Exact arithmetic lives in the certificates, ``curve-info`` and
 ``find-points``.
 
@@ -178,6 +180,8 @@ class ConfigurationCurve:
         self.curve = curve
         self.elliptic = curve.elliptic_quotient()
         self.offsets = [_lift(e, curve.prec, curve.tol) for e in offsets]  # e_2 .. e_r
+        for e in self.offsets:
+            self.elliptic._require(e)
         self.r = len(self.offsets) + 1
 
     # -- membership ---------------------------------------------------------------
@@ -227,10 +231,10 @@ class ConfigurationCurve:
         ``i``, slot-1 choice, slot-``i`` choice); coincidence per pair of
         choices from two slots, all four pairs at once when the slots'
         shared ``y`` separates them.  A decision that raises stores its
-        exception (see :class:`SlotFacts`).  The cover images and expected
-        images of choices on the curve skip the on-curve checks already
-        decided here and in :attr:`_offsets_on_curve`; any other choice goes
-        through the checked ``cover`` and ``add``, which raise as they would.
+        exception (see :class:`SlotFacts`).  Cover images and expected
+        images are computed unchecked: a tuple reads them only once every
+        one of its choices has passed its on-curve decision, and the
+        offsets were decided on the curve when it was built.
         """
         slots = product.slots
         curve, elliptic = self.curve, self.elliptic
@@ -238,21 +242,12 @@ class ConfigurationCurve:
         for s, choices in enumerate(slots):
             for c, p in enumerate(choices):
                 on_curve[s, c] = _outcome(curve.contains, p)
-                # ``cover`` would decide the on-curve outcome just stored again
-                cover = curve._cover if on_curve[s, c] is True else curve.cover
-                images[s, c] = _outcome(cover, p)
+                images[s, c] = curve._cover(p)
                 zero[s, c] = _outcome(scalar_is_zero, curve.cover_derivative(p))
         covers = {}
-        for s, (e, e_on_curve) in enumerate(zip(self.offsets, self._offsets_on_curve), start=1):
+        for s, e in enumerate(self.offsets, start=1):
             for c1 in range(len(slots[0])):
-                image = images[0, c1]
-                if e_on_curve is True and not isinstance(image, Exception):
-                    # a cover image is on the elliptic curve iff its point is
-                    # on the genus-2 curve, by the same operations in the
-                    # same order, so ``add`` would decide both checks again
-                    expected = _outcome(elliptic._add, image, e)
-                else:
-                    expected = _outcome(lambda: elliptic.add(_read(image), e))
+                expected = _outcome(elliptic._add, images[0, c1], e)
                 for c in range(len(slots[s])):
                     covers[s, c1, c] = _outcome(_cover_condition, expected, images[s, c])
         coincide = {}
@@ -263,11 +258,6 @@ class ConfigurationCurve:
                     coincide[a, ca, b, cb] = False if apart else _outcome(
                         genus2_points_equal, p, q, "membership-distinctness")
         return SlotFacts(slots, on_curve, covers, coincide, zero)
-
-    @functools.cached_property
-    def _offsets_on_curve(self) -> tuple:
-        """The outcome of ``elliptic.contains(e)`` for each offset, decided once per curve."""
-        return tuple(_outcome(self.elliptic.contains, e) for e in self.offsets)
 
     def branch_sign(self, p: GenusTwoPoint) -> int:
         """``+1`` if ``p`` is the critical point ``(0, +sqrt(lam))``, else ``-1``."""
@@ -327,11 +317,13 @@ class ConfigurationCurve:
             p1_choices = [value]
             base_image = self.curve.cover(value)
         else:
-            first_image = self.elliptic.sub(self.curve.cover(value), self.offsets[j - 2])
-            p1_choices = self.curve.fiber(first_image)
+            first_image = self.elliptic._add(self.curve.cover(value),
+                                             self.elliptic.neg(self.offsets[j - 2]))
+            p1_choices = self.curve._fiber(first_image)
             base_image = self.curve._cover(p1_choices[0])
-        # ``value`` is checked above; the fiber points and their sums with
-        # the offsets are on the curves by construction
+        # ``value`` is checked by ``cover`` above and the offsets when the
+        # curve was built; the fiber points and their sums with the
+        # offsets are on the curves by construction
         slots = tuple(map(tuple, [p1_choices] + [
             [value] if i == j else self.curve._fiber(self.elliptic._add(base_image, e))
             for i, e in enumerate(self.offsets, start=2)]))
@@ -545,6 +537,5 @@ def _read(outcome):
 
 
 def _cover_condition(expected, image) -> bool:
-    """``image = expected`` for the outcomes of an expected and a cover image."""
-    expected = _read(expected)
-    return points_equal(_read(image), expected, "membership-cover-condition")
+    """``image = expected`` for the outcome of an expected image and a cover image."""
+    return points_equal(image, _read(expected), "membership-cover-condition")

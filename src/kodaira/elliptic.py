@@ -126,11 +126,13 @@ class EllipticCurve:
 
         The callers: :meth:`multiply`, which checks ``p`` once;
         ``generic_points._progression``, which sums multiples of a checked
-        base; ``ConfigurationCurve.projection_fiber``, which adds the
+        base; ``ConfigurationCurve.projection_fiber``, which subtracts an
+        offset from the cover image of the checked ``value`` and adds the
         offsets to the cover image of a fiber point; and
-        ``ConfigurationCurve.slot_facts``, which adds an offset it has
-        decided on the curve to the cover image of a choice it has decided
-        on the curve.
+        ``ConfigurationCurve.slot_facts``, which adds the offsets to the
+        cover image of each slot-1 choice (read only by tuples whose
+        choices passed their on-curve decisions).  The offsets are checked
+        when the ``ConfigurationCurve`` is built.
         """
         if p.is_infinity:
             return q

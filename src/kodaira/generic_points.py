@@ -26,7 +26,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .elliptic import EC_INFINITY, EllipticCurve, EllipticPoint, point_to_json, points_equal
+from .elliptic import (
+    EC_INFINITY,
+    EllipticCurve,
+    EllipticPoint,
+    OffCurveError,
+    point_to_json,
+    points_equal,
+)
 from .scalars import (
     AmbiguousCoincidenceError,
     Fraction,
@@ -238,9 +245,10 @@ def verify_certificate(cert: GenericityCertificate) -> bool:
     curve = EllipticCurve(cert.lam, *scale) if scale else EllipticCurve(cert.lam)
     if not points_equal(cert.delta, curve.delta(), "certificate-delta"):
         return False
-    if not curve.contains(cert.base_point):
-        return False
-    multiples = _progression(curve, cert.base_point, cert.stride, cert.r)
+    try:
+        multiples = _progression(curve, cert.base_point, cert.stride, cert.r)
+    except OffCurveError:
+        return False  # the base point is off the curve
     if not all(points_equal(p, m, "certificate-offset")
                for p, m in zip(cert.points, multiples[1:])):
         return False

@@ -19,7 +19,6 @@ from .scalars import (
     as_approx,
     coordinates_equal,
     is_approx,
-    is_exact,
     scalar_is_zero,
     tower_sqrt,
 )
@@ -46,10 +45,6 @@ class GenusTwoPoint:
     @property
     def is_infinity(self) -> bool:
         return self.infinity_sign != 0
-
-    @property
-    def is_exact(self) -> bool:
-        return self.is_infinity or (is_exact(self.x) and is_exact(self.y))
 
     def __repr__(self):
         if self.is_infinity:
@@ -135,8 +130,9 @@ class GenusTwoCurve:
         """:meth:`cover` without the on-curve check, for a point on the curve by construction.
 
         The callers: ``ConfigurationCurve.projection_fiber``, on a point of
-        a cover fiber; and ``ConfigurationCurve.slot_facts``, on a choice
-        whose on-curve decision it has just made.
+        a cover fiber; and ``ConfigurationCurve.slot_facts``, on every
+        choice, its image read only by tuples whose choices passed their
+        on-curve decisions.
         """
         if p.is_infinity:
             return EC_INFINITY
@@ -157,8 +153,8 @@ class GenusTwoCurve:
     def _fiber(self, q: EllipticPoint) -> list:
         """:meth:`fiber` without the on-curve check, for a point on the curve by construction.
 
-        The caller: ``ConfigurationCurve.projection_fiber``, on the sum of
-        a cover image and an offset.
+        The caller: ``ConfigurationCurve.projection_fiber``, on the sums
+        of a cover image and an offset or its negative.
         """
         if q.is_infinity:
             return [X_INFINITY_PLUS, X_INFINITY_MINUS]

@@ -427,7 +427,9 @@ def test_no_private_name_is_imported_from_a_sibling_module():
 # are on the curve by construction, as their docstrings say
 UNCHECKED_USES = [
     ("config_curve.py", "projection_fiber", "_add"),
+    ("config_curve.py", "projection_fiber", "_add"),
     ("config_curve.py", "projection_fiber", "_cover"),
+    ("config_curve.py", "projection_fiber", "_fiber"),
     ("config_curve.py", "projection_fiber", "_fiber"),
     ("config_curve.py", "slot_facts", "_add"),
     ("config_curve.py", "slot_facts", "_cover"),

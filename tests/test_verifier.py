@@ -282,7 +282,7 @@ def _mutated_slots(product: SlotProduct, mutation: str, slot: int, choice: int,
     elif mutation == "off-curve" and not p.is_infinity:
         slots[k][c] = GenusTwoPoint.affine(p.x, p.y + 1)
     elif mutation == "ambiguous-on-curve" and all(
-            not q.is_exact and q.x.prec == DEFAULT_PREC_BITS for q in product.slots[0]):
+            not q.is_infinity and q.x.prec == DEFAULT_PREC_BITS for q in product.slots[0]):
         k = 1 + slot % (len(slots) - 1)
         k2 = 1 + k % (len(slots) - 1)
         slots[k][-1] = _near_curve(slots[k][-1], 3)
@@ -391,6 +391,26 @@ def test_a_passing_run_walks_no_tuple(monkeypatch):
     run = verify_claim("1/1", 8, samples=2)
     assert run.passed and run.tallies["membership_and_rank"].checked == 2 * 2 ** 7
     assert calls == []
+
+
+def test_each_offset_is_decided_on_the_curve_once(monkeypatch):
+    # an offset, or its negative (which shares its x), reaches
+    # EllipticCurve.contains once per configuration curve: when it is built
+    built, decided = [], []
+    init, contains = ConfigurationCurve.__init__, EllipticCurve.contains
+
+    def recorded_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ConfigurationCurve, "__init__", recorded_init)
+    monkeypatch.setattr(EllipticCurve, "contains",
+                        lambda self, p: decided.append(p) or contains(self, p))
+    assert verify_claim("1/1", 8, samples=1).passed
+    assert built
+    for cc in built:
+        assert [sum(not p.is_infinity and p.x is e.x for p in decided)
+                for e in cc.offsets] == [1] * 7
 
 
 def test_a_tolerance_finer_than_the_precision_is_rejected_before_sampling(monkeypatch):
